@@ -9,6 +9,12 @@ Design notes:
     backward closure. `backward()` on a scalar walks the graph once in reverse
     topological order; accumulation order is fixed by construction order, so
     gradients are bitwise reproducible.
+  * Inside `no_grad()` no graph is recorded, whatever the parameters'
+    `requires_grad`: eval passes over a frozen or rebuilt network keep no
+    closures and no saved activations alive.
+  * The hot unit of the networks is three ops, each one graph node: the 3x3
+    conv is one im2col matrix product per pass over the taps that read real
+    pixels, and batch norm has its closed-form backward.
 
 Only the operations defined here form the differentiable surface; network
 layers and losses are compositions of them.
@@ -16,11 +22,31 @@ layers and losses are compositions of them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 EPS_NORM = 1e-12
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op output is a constant leaf.
+
+    Values are exactly those of a recording pass; only the parents and
+    backward closures are dropped, so eval passes hold no saved arrays.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -66,7 +92,7 @@ class Tensor:
 
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -298,14 +324,29 @@ def conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return x._make(out_data, tuple(parents), backward)
 
 
+def _live_taps(size: int, size_out: int) -> slice:
+    """Kernel taps along one axis whose windows read at least one real pixel.
+
+    With padding 1, tap 0 reads position o*stride - 1, which is real for
+    o = 1 whenever there are two outputs; tap 2 reads o*stride + 1, real for
+    o = 0 whenever the input has two positions; the centre tap always reads
+    real pixels. The remaining taps only ever multiply padding zeros.
+    """
+    return slice(0 if size_out >= 2 else 1, 3 if size >= 2 else 2)
+
+
 def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     """3x3 convolution, channels-last, padding fixed to 1, stride 1 or 2.
 
     Output spatial dims are ceil(h/stride) x ceil(w/stride). Implemented as
-    nine shifted matrix products so both passes run on BLAS.
+    im2col: the windows of the live taps (see `_live_taps`: all nine while
+    the input side is at least 2 and there are two outputs, four for a
+    stride-2 step from 2x2 to 1x1, only the centre at 1x1) are gathered into
+    one column matrix by a single copy, so each pass is one matrix product on
+    BLAS, and backward scatters the column gradient back tap by tap (col2im).
+    The column matrix stays in the graph node only when the weight needs its
+    gradient.
     """
-    from .errors import ConfigError
-
     if stride not in (1, 2):
         raise ConfigError(f"conv2d_3x3 supports stride 1 or 2, got {stride}")
     if padding != 1:
@@ -324,39 +365,103 @@ def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> 
     c_out = weight.shape[3]
     h_out = (h - 1) // stride + 1
     w_out = (w - 1) // stride + 1
+    ti, tj = _live_taps(h, h_out), _live_taps(w, w_out)
+    taps_i, taps_j = ti.stop - ti.start, tj.stop - tj.start
     xpad = np.zeros((batch, h + 2, w + 2, c_in))
     xpad[:, 1 : h + 1, 1 : w + 1, :] = x4.data
-
-    def taps():
-        for di in range(3):
-            for dj in range(3):
-                rows = slice(di, di + (h_out - 1) * stride + 1, stride)
-                cols = slice(dj, dj + (w_out - 1) * stride + 1, stride)
-                yield di, dj, rows, cols
-
-    out_data = np.zeros((batch, h_out, w_out, c_out))
-    for di, dj, rows, cols in taps():
-        window = xpad[:, rows, cols, :].reshape(-1, c_in)
-        out_data += (window @ weight.data[di, dj]).reshape(batch, h_out, w_out, c_out)
+    # [batch, h, w, c_in, 3, 3] view -> live taps at the output positions,
+    # laid out [batch, h_out, w_out, tap_i, tap_j, c_in] to match the weight
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, (3, 3), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride, :, ti, tj].transpose(0, 1, 2, 4, 5, 3)
+    columns = windows.reshape(batch * h_out * w_out, taps_i * taps_j * c_in)
+    wmat = weight.data[ti, tj].reshape(-1, c_out)
+    out_data = (columns @ wmat).reshape(batch, h_out, w_out, c_out)
+    saved = columns if weight.requires_grad else None
 
     def backward(g):
         gflat = g.reshape(-1, c_out)
-        if x4.requires_grad:
-            gpad = np.zeros_like(xpad)
-            for di, dj, rows, cols in taps():
-                gpad[:, rows, cols, :] += (gflat @ weight.data[di, dj].T).reshape(
-                    batch, h_out, w_out, c_in
-                )
-            _accumulate(x4, gpad[:, 1 : h + 1, 1 : w + 1, :])
         if weight.requires_grad:
             gw = np.zeros_like(weight.data)
-            for di, dj, rows, cols in taps():
-                window = xpad[:, rows, cols, :].reshape(-1, c_in)
-                gw[di, dj] = window.T @ gflat
+            gw[ti, tj] = (saved.T @ gflat).reshape(taps_i, taps_j, c_in, c_out)
             _accumulate(weight, gw)
+        if x4.requires_grad:
+            # col2im: scatter each live tap's column gradient back to its window
+            gcols = (gflat @ wmat.T).reshape(batch, h_out, w_out, taps_i, taps_j, c_in)
+            gpad = np.zeros((batch, h + 2, w + 2, c_in))
+            for a in range(taps_i):
+                rows = slice(ti.start + a, ti.start + a + (h_out - 1) * stride + 1, stride)
+                for b in range(taps_j):
+                    cols = slice(tj.start + b, tj.start + b + (w_out - 1) * stride + 1, stride)
+                    gpad[:, rows, cols, :] += gcols[:, :, :, a, b, :]
+            _accumulate(x4, gpad[:, 1 : h + 1, 1 : w + 1, :])
 
     out = x4._make(out_data, (x4, weight), backward)
     return out.reshape(out.shape[1:]) if squeeze else out
+
+
+# -- normalization -------------------------------------------------------------
+
+
+def batch_norm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    eps: float,
+    running: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-channel (last axis) normalization, then scale by gamma, shift by beta.
+
+    With `running` None the statistics are the batch mean and biased variance
+    over every non-channel axis, and the gradient flows through them in the
+    closed form of Ioffe & Szegedy (2015). With `running` = (mean, var) those
+    fixed estimates normalize, which makes the op affine in x. Returns the
+    output and the (mean, var) that normalized it.
+    """
+    x, gamma, beta = Tensor._lift(x), Tensor._lift(gamma), Tensor._lift(beta)
+    channels = x.shape[-1]
+    if gamma.shape != (channels,) or beta.shape != (channels,):
+        raise DimensionError(
+            f"batch norm scale {gamma.shape} / shift {beta.shape} do not match "
+            f"channels of {x.shape}"
+        )
+    axes = tuple(range(x.ndim - 1))
+    count = x.data.size // channels
+
+    if running is not None:
+        mean, var = running
+        std = np.sqrt(var + eps)
+        scale = gamma.data / std
+        out_data = x.data * scale
+        out_data += beta.data - mean * scale
+
+        def backward(g):
+            g2 = g.reshape(-1, channels)
+            _accumulate(x, g * scale)
+            if gamma.requires_grad:
+                xhat = (x.data.reshape(-1, channels) - mean) / std
+                _accumulate(gamma, (g2 * xhat).sum(axis=0))
+            _accumulate(beta, g2.sum(axis=0))
+
+        return x._make(out_data, (x, gamma, beta), backward), mean, var
+
+    mean = x.data.mean(axis=axes)
+    centered = x.data - mean
+    var = (centered * centered).mean(axis=axes)
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    out_data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        g2, xhat2 = g.reshape(-1, channels), xhat.reshape(-1, channels)
+        gbeta = g2.sum(axis=0)
+        ggamma = (g2 * xhat2).sum(axis=0)
+        if x.requires_grad:
+            gx = (g - gbeta / count - xhat * (ggamma / count)) * (gamma.data / std)
+            _accumulate(x, gx)
+        _accumulate(gamma, ggamma)
+        _accumulate(beta, gbeta)
+
+    return x._make(out_data, (x, gamma, beta), backward), mean, var
 
 
 # -- nonlinearities ----------------------------------------------------------

@@ -13,12 +13,15 @@ Layout (all integers little-endian):
     n_velocities     u32, then velocity tensors in the same record format
 
 A checkpoint round-trips bitwise: save(load(save(x))) writes identical bytes.
+Records are streamed to a temporary file beside the target, which then
+replaces it, so a failed write never leaves a partial checkpoint behind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,17 +49,16 @@ class Checkpoint:
     version: int = VERSION
 
 
-def _pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
-    chunks = [struct.pack("<I", len(tensors))]
+def _write_tensors(fh, tensors: dict[str, np.ndarray]) -> None:
+    fh.write(struct.pack("<I", len(tensors)))
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    return b"".join(chunks)
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<I", arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.data)
 
 
 class _Reader:
@@ -91,19 +93,23 @@ def _unpack_tensors(reader: _Reader) -> dict[str, np.ndarray]:
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
     meta_blob = json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     fp = ckpt.fingerprint.encode("ascii")
-    parts = [
-        MAGIC,
-        struct.pack("<I", ckpt.version),
-        struct.pack("<I", len(fp)),
-        fp,
-        _pack_tensors(ckpt.tensors),
-        struct.pack("<I", len(meta_blob)),
-        meta_blob,
-        _pack_tensors(ckpt.velocities),
-    ]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(parts))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", ckpt.version))
+            fh.write(struct.pack("<I", len(fp)))
+            fh.write(fp)
+            _write_tensors(fh, ckpt.tensors)
+            fh.write(struct.pack("<I", len(meta_blob)))
+            fh.write(meta_blob)
+            _write_tensors(fh, ckpt.velocities)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -1,12 +1,14 @@
 """Run configuration: schema, defaults, YAML loading, dotted overrides.
 
 A RunConfig fully determines a run given the same build. Unknown keys are
-rejected so typos cannot silently fall back to defaults.
+rejected so typos cannot silently fall back to defaults, and each value must
+have the type of its field's default, so a mistyped value is a ConfigError
+rather than a crash deep inside a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -107,19 +109,49 @@ _SECTIONS = {
     "train": TrainConfig,
     "distill": DistillConfig,
 }
-_SCALARS = {"seed": int, "output_dir": str}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _same_type(value, default) -> bool:
+    """Whether `value` has the scalar type of `default`; a float also takes an int."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_value(name: str, value, default) -> None:
+    """Raise ConfigError unless `value` fits the type of the field's `default`."""
+    if default is None:
+        # the one optional field, distill.lambda_n, is a number or null
+        if value is None or _same_type(value, 0.0):
+            return
+        raise ConfigError(f"{name}: expected a number or null, got {value!r}")
+    if isinstance(default, tuple):
+        element = default[0]
+        if isinstance(value, tuple) and all(_same_type(v, element) for v in value):
+            return
+        raise ConfigError(
+            f"{name}: expected a list, each {_TYPE_NAMES[type(element)]}, got {value!r}"
+        )
+    if not _same_type(value, default):
+        raise ConfigError(f"{name}: expected {_TYPE_NAMES[type(default)]}, got {value!r}")
 
 
 def _build_section(cls, tree: dict, prefix: str):
-    known = {f.name for f in fields(cls)}
+    defaults = {
+        f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)
+    }
     kwargs = {}
     for key, value in tree.items():
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {prefix}{key}")
         if isinstance(value, dict):
             raise ConfigError(f"{prefix}{key}: expected a scalar or list")
         if isinstance(value, list):
             value = tuple(value)
+        _check_value(f"{prefix}{key}", value, defaults[key])
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -132,8 +164,11 @@ def config_from_tree(tree: dict) -> RunConfig:
         raise ConfigError("config root must be a mapping")
     cfg = RunConfig()
     for key, value in tree.items():
-        if key in _SCALARS:
-            setattr(cfg, key, _SCALARS[key](value))
+        if key == "seed":
+            _check_value(key, value, cfg.seed)
+            cfg.seed = value
+        elif key == "output_dir":
+            cfg.output_dir = str(value)
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be a mapping")

@@ -41,6 +41,18 @@ class SyntheticIdentityDataset:
         mask = np.isin(self.labels, classes)
         return np.nonzero(mask)[0]
 
+    def indices_by_class(self, classes: np.ndarray) -> list[np.ndarray]:
+        """Ascending sample indices of each class in `classes`, from one sort.
+
+        Entry k equals `indices_of([classes[k]])`, at a cost that does not
+        grow with the number of classes asked for.
+        """
+        order = np.argsort(self.labels, kind="stable")
+        sorted_labels = self.labels[order]
+        lo = np.searchsorted(sorted_labels, classes, side="left")
+        hi = np.searchsorted(sorted_labels, classes, side="right")
+        return [order[a:b] for a, b in zip(lo, hi)]
+
     @property
     def train_indices(self) -> np.ndarray:
         return self.indices_of(self.train_classes)
@@ -191,9 +203,9 @@ def build_verification_protocol(
         raise ConfigError("pairs_per_side must be divisible by folds")
     rng = substream(seed, "protocol-verification")
 
-    by_class = {
-        int(c): dataset.indices_of(np.array([c])) for c in dataset.test_classes
-    }
+    by_class = dict(
+        zip(dataset.test_classes.tolist(), dataset.indices_by_class(dataset.test_classes))
+    )
     positives = []
     for c, idx in by_class.items():
         for i in range(len(idx)):
@@ -252,8 +264,8 @@ def build_identification_protocol(
 ) -> IdentificationProtocol:
     rng = substream(seed, "protocol-identification")
     gallery_idx, gallery_cls, probe_idx, probe_cls = [], [], [], []
-    for c in dataset.test_classes:
-        idx = dataset.indices_of(np.array([c]))
+    test_groups = dataset.indices_by_class(dataset.test_classes)
+    for c, idx in zip(dataset.test_classes, test_groups):
         enrolled = idx[rng.integers(0, len(idx))]
         gallery_idx.append(enrolled)
         gallery_cls.append(int(c))
@@ -261,13 +273,19 @@ def build_identification_protocol(
             if other != enrolled:
                 probe_idx.append(other)
                 probe_cls.append(int(c))
-    for c in dataset.distractor_classes:
-        idx = dataset.indices_of(np.array([c]))
-        gallery_idx.extend(idx.tolist())
-        gallery_cls.extend([int(c)] * len(idx))
+    # every sample of a distractor class joins the gallery, in class order
+    distractor_groups = dataset.indices_by_class(dataset.distractor_classes)
+    distractor_sizes = [len(idx) for idx in distractor_groups]
     return IdentificationProtocol(
-        gallery_indices=np.array(gallery_idx, dtype=np.int64),
-        gallery_classes=np.array(gallery_cls, dtype=np.int64),
+        gallery_indices=np.concatenate(
+            [np.array(gallery_idx, dtype=np.int64)] + distractor_groups
+        ),
+        gallery_classes=np.concatenate(
+            [
+                np.array(gallery_cls, dtype=np.int64),
+                np.repeat(dataset.distractor_classes, distractor_sizes),
+            ]
+        ),
         probe_indices=np.array(probe_idx, dtype=np.int64),
         probe_classes=np.array(probe_cls, dtype=np.int64),
     )

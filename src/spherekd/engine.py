@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .autodiff import Tensor, check_finite, softmax_cross_entropy
+from .autodiff import Tensor, check_finite, no_grad, softmax_cross_entropy
 from .checkpoint import Checkpoint, fingerprint_arch, load_checkpoint, save_checkpoint
 from .config import RunConfig, config_from_tree
 from .data import (
@@ -97,13 +97,14 @@ def _schedule_for(cfg: RunConfig, total_steps: int) -> LrSchedule:
 def _train_eval_stats(net, head, images, labels, batch_size=64) -> tuple[float, float]:
     """Eval-mode classification loss and accuracy over the given samples."""
     losses, hits = [], 0
-    for start in range(0, len(labels), batch_size):
-        x = Tensor(images[start : start + batch_size])
-        y = labels[start : start + batch_size]
-        _, emb = net.forward(x, train=False)
-        logits = head.logits(emb)
-        losses.append(softmax_cross_entropy(logits, y).data)
-        hits += int(np.sum(np.argmax(logits.data, axis=1) == y))
+    with no_grad():
+        for start in range(0, len(labels), batch_size):
+            x = Tensor(images[start : start + batch_size])
+            y = labels[start : start + batch_size]
+            _, emb = net.forward(x, train=False)
+            logits = head.logits(emb)
+            losses.append(softmax_cross_entropy(logits, y).data)
+            hits += int(np.sum(np.argmax(logits.data, axis=1) == y))
     all_losses = np.concatenate(losses)
     return float(all_losses.mean()), hits / len(labels)
 
@@ -117,13 +118,14 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     if kind == "none" or teacher is None:
         return None, None
     emb_rows, feat_rows = [], [[] for _ in range(teacher.num_stages)]
-    for start in range(0, images.shape[0], batch_size):
-        x = Tensor(images[start : start + batch_size])
-        feats, emb = teacher.forward(x, train=False)
-        emb_rows.append(emb.data)
-        if kind == "l2":
-            for s, f in enumerate(feats):
-                feat_rows[s].append(f.data)
+    with no_grad():
+        for start in range(0, images.shape[0], batch_size):
+            x = Tensor(images[start : start + batch_size])
+            feats, emb = teacher.forward(x, train=False)
+            emb_rows.append(emb.data)
+            if kind == "l2":
+                for s, f in enumerate(feats):
+                    feat_rows[s].append(f.data)
     emb_all = np.concatenate(emb_rows, axis=0)
     feats_all = None
     if kind == "l2":

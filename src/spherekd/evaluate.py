@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .data import IdentificationProtocol, VerificationProtocol
 from .errors import DimensionError
 from .nets import StagedNetwork
@@ -23,10 +23,11 @@ def extract_embeddings(
     if images.ndim != 4:
         raise DimensionError(f"expected images [N,h,w,c], got {images.shape}")
     rows = []
-    for start in range(0, images.shape[0], batch_size):
-        batch = Tensor(images[start : start + batch_size])
-        _, emb = net.forward(batch, train=False)
-        rows.append(emb.data)
+    with no_grad():
+        for start in range(0, images.shape[0], batch_size):
+            batch = Tensor(images[start : start + batch_size])
+            _, emb = net.forward(batch, train=False)
+            rows.append(emb.data)
     table = np.concatenate(rows, axis=0)
     norms = np.maximum(np.linalg.norm(table, axis=1, keepdims=True), 1e-12)
     return table / norms

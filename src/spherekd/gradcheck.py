@@ -138,6 +138,26 @@ def _case_conv3x3_s2(rng):
     return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=2) ** 2).mean()
 
 
+def _case_conv3x3_s2_to_1x1(rng):
+    # only the four taps reading the 2x2 input are live
+    x = Tensor(rng.normal(size=(2, 2, 2, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
+    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=2) ** 2).mean()
+
+
+def _case_conv3x3_s1_1x1(rng):
+    # only the centre tap is live
+    x = Tensor(rng.normal(size=(3, 1, 1, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
+    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=1) ** 2).mean()
+
+
+def _case_conv3x3_s1_2x2(rng):
+    x = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
+    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=1) ** 2).mean()
+
+
 def _case_prelu(rng):
     x = Tensor(_away_from_zero(rng, (2, 3, 3, 4)), requires_grad=True)
     s = Tensor(rng.uniform(0.1, 0.5, size=(4,)), requires_grad=True)
@@ -172,6 +192,19 @@ def _case_batchnorm_train(rng):
     # weight per position, otherwise the x-gradient is identically zero
     w = Tensor(rng.normal(size=(4, 2, 2, 3)))
     return [x, bn.gamma, bn.beta], lambda: (bn.forward(x, train=True) * w).mean()
+
+
+def _case_batchnorm_eval(rng):
+    from .nets import BatchNorm
+
+    bn = BatchNorm(3)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
+    bn.beta.data[:] = rng.normal(size=3)
+    bn.running_mean = rng.normal(size=3)
+    bn.running_var = rng.uniform(0.5, 2.0, size=3)
+    x = Tensor(rng.normal(size=(4, 2, 2, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2, 2, 3)))
+    return [x, bn.gamma, bn.beta], lambda: (bn.forward(x, train=False) * w).mean()
 
 
 def _case_classifier_normalized(rng):
@@ -287,11 +320,15 @@ CASES: list[CheckCase] = [
     CheckCase("conv2d-1x1", "nets", _case_conv1x1),
     CheckCase("conv2d-3x3-stride1", "nets", _case_conv3x3_s1),
     CheckCase("conv2d-3x3-stride2", "nets", _case_conv3x3_s2),
+    CheckCase("conv2d-3x3-stride2-2x2-to-1x1", "nets", _case_conv3x3_s2_to_1x1),
+    CheckCase("conv2d-3x3-stride1-1x1", "nets", _case_conv3x3_s1_1x1),
+    CheckCase("conv2d-3x3-stride1-2x2", "nets", _case_conv3x3_s1_2x2),
     CheckCase("prelu", "nets", _case_prelu),
     CheckCase("l2-normalize", "nets", _case_l2_normalize),
     CheckCase("cosine", "nets", _case_cosine),
     CheckCase("softmax-cross-entropy", "nets", _case_softmax_ce),
     CheckCase("batchnorm-train", "nets", _case_batchnorm_train),
+    CheckCase("batchnorm-eval", "nets", _case_batchnorm_eval),
     CheckCase("classifier-normalized", "nets", _case_classifier_normalized),
     CheckCase("angular-distill-loss", "losses", _case_angular_loss),
     CheckCase("l2-distill-loss", "losses", _case_l2_loss),

@@ -93,18 +93,14 @@ class BatchNorm:
         self.running_var = np.ones(channels)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        axes = tuple(range(x.ndim - 1))
-        if train:
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            xhat = centered / ((var + self.eps) ** 0.5)
-            m = self.momentum
-            self.running_mean = m * self.running_mean + (1.0 - m) * mean.data.reshape(-1)
-            self.running_var = m * self.running_var + (1.0 - m) * var.data.reshape(-1)
-        else:
-            xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        return xhat * self.gamma + self.beta
+        if not train:
+            running = (self.running_mean, self.running_var)
+            return ad.batch_norm(x, self.gamma, self.beta, self.eps, running)[0]
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps)
+        m = self.momentum
+        self.running_mean = m * self.running_mean + (1.0 - m) * mean
+        self.running_var = m * self.running_var + (1.0 - m) * var
+        return out
 
 
 class ConvUnit:

@@ -7,6 +7,7 @@ from spherekd import autodiff as ad
 from spherekd.autodiff import Tensor, check_finite, topo_order
 from spherekd.errors import ConfigError, ContractError, DimensionError, NumericError
 from spherekd.gradcheck import check_gradients, relative_error
+from spherekd.nets import ArchConfig
 
 
 class TestMatmul:
@@ -262,6 +263,90 @@ class TestBackward:
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
+
+
+def nine_tap_conv(x, w, g, stride):
+    """Zero-padded 3x3 conv tap by tap over all nine taps, with both gradients.
+
+    Returns (out, d<out*g>/dx, d<out*g>/dw) for an upstream gradient g.
+    """
+    batch, h, wd, _ = x.shape
+    h_out, w_out = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    xpad = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.zeros((batch, h_out, w_out, w.shape[3]))
+    gpad = np.zeros_like(xpad)
+    gw = np.zeros_like(w)
+    for di in range(3):
+        for dj in range(3):
+            rows = slice(di, di + (h_out - 1) * stride + 1, stride)
+            cols = slice(dj, dj + (w_out - 1) * stride + 1, stride)
+            window = xpad[:, rows, cols, :]
+            out += np.einsum("bijc,co->bijo", window, w[di, dj])
+            gpad[:, rows, cols, :] += np.einsum("bijo,co->bijc", g, w[di, dj])
+            gw[di, dj] = np.einsum("bijc,bijo->co", window, g)
+    return out, gpad[:, 1 : h + 1, 1 : wd + 1, :], gw
+
+
+def default_unit_shapes():
+    """(input side, c_in, c_out, stride) of every conv unit of the default pair."""
+    arch = ArchConfig()
+    shapes = []
+    for channels in (arch.teacher_channels, arch.student_channels):
+        side, c_prev = arch.input_size, arch.in_channels
+        for c in channels:
+            shapes.append((side, c_prev, c, 2))
+            side = (side + 1) // 2
+            shapes += [(side, c, c, 1)] * (arch.block_depth - 1)
+            c_prev = c
+    return shapes
+
+
+class TestConv3x3MatchesNineTaps:
+    """The im2col conv equals the direct nine-tap sum at every default unit shape."""
+
+    @pytest.mark.parametrize("side,c_in,c_out,stride", default_unit_shapes())
+    def test_forward_and_gradients(self, side, c_in, c_out, stride):
+        rng = np.random.default_rng(side * 1000 + c_in * 10 + stride)
+        x = Tensor(rng.normal(size=(4, side, side, c_in)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, c_in, c_out)), requires_grad=True)
+        out = ad.conv2d_3x3(x, w, stride=stride)
+        g = rng.normal(size=out.shape)
+        (out * g).sum().backward()
+        ref_out, ref_gx, ref_gw = nine_tap_conv(x.data, w.data, g, stride)
+        for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_frozen_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(size=(2, 4, 4, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 2, 3)))
+        ad.conv2d_3x3(x, w, stride=2).sum().backward()
+        assert x.grad is not None and w.grad is None
+
+
+class TestNoGrad:
+    def test_records_no_graph_and_keeps_values(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(2, 4, 4, 2)))
+        w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
+        recorded = ad.conv2d_3x3(x, w)
+        with ad.no_grad():
+            plain = ad.conv2d_3x3(x, w)
+        assert recorded.requires_grad and recorded._parents
+        assert not plain.requires_grad and plain._parents == () and plain._backward is None
+        assert np.array_equal(plain.data, recorded.data)
+        assert w.requires_grad
+
+    def test_restored_after_exception_and_nesting(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(DimensionError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    assert not (w * 2.0).requires_grad
+                assert not (w * 2.0).requires_grad
+                ad.matmul(w, w)
+        assert (w * 2.0).requires_grad
 
 
 class TestPrelu:

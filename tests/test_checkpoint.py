@@ -62,6 +62,30 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="magic"):
             load_checkpoint(path)
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        from spherekd import checkpoint
+
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, sample_checkpoint())
+        before = path.read_bytes()
+        original = checkpoint._write_tensors
+        calls = []
+
+        def fail_on_velocities(fh, tensors):
+            calls.append(len(tensors))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            original(fh, tensors)
+
+        monkeypatch.setattr(checkpoint, "_write_tensors", fail_on_velocities)
+        for target in (path, tmp_path / "new.ckpt"):
+            calls.clear()
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(target, sample_checkpoint())
+            assert len(calls) == 2  # the tensors were written before the failure
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
     def test_truncated_rejected(self, tmp_path):
         path = save_checkpoint(tmp_path / "a.ckpt", sample_checkpoint())
         blob = path.read_bytes()

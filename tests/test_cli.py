@@ -47,6 +47,14 @@ class TestGenData:
         assert code == 2
         assert "image_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["train.batch_size=abc", "arch.teacher_channels=5"])
+    def test_mistyped_value_exits_2_without_traceback(self, tmp_path, capsys, override):
+        code = run_cli("gen-data", "--set", override, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err
+        assert "Traceback" not in err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code = run_cli("gen-data", "--set", "data.nclasses=4", "--out", str(tmp_path))
         assert code == 2

@@ -1,5 +1,7 @@
 """Config loading, validation, unknown-key rejection, and overrides."""
 
+import re
+
 import pytest
 import yaml
 
@@ -99,6 +101,40 @@ class TestOverrides:
         cfg = RunConfig().validate()
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(cfg, ["seed:5"])
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "train.batch_size=abc",
+            "train.batch_size=8.0",
+            "train.batch_size=true",
+            "arch.teacher_channels=5",
+            "arch.teacher_channels=[32, 64.5, 128, 256]",
+            "train.decay_at=[0.5, x]",
+            "train.learning_rate=fast",
+            "classifier.mode=3",
+            "distill.final_stage_only=1",
+            "distill.lambda_n=high",
+            "seed=abc",
+        ],
+    )
+    def test_mistyped_value_rejected_with_key(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            apply_overrides(RunConfig().validate(), [override])
+
+    def test_int_accepted_for_float_and_null_for_lambda(self):
+        cfg = apply_overrides(
+            RunConfig().validate(),
+            ["train.learning_rate=1", "train.decay_at=[1, 0.5]", "distill.lambda_n=null"],
+        )
+        assert cfg.train.learning_rate == 1
+        assert cfg.train.decay_at == (1, 0.5)
+        assert cfg.distill.lambda_n is None
+        cfg = apply_overrides(cfg, ["distill.lambda_n=2"])
+        assert cfg.distill.resolved_lambda_n() == 2.0
 
 
 class TestCanonical:

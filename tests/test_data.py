@@ -174,6 +174,48 @@ class TestIdentificationProtocol:
         assert not (set(distractor_gallery) & train_test)
 
 
+class TestProtocolsMatchPerClassConstruction:
+    """Protocols built from one grouping equal the per-class `indices_of` build."""
+
+    @staticmethod
+    def reference_identification(ds, seed):
+        from spherekd.rng import substream
+
+        rng = substream(seed, "protocol-identification")
+        gallery_idx, gallery_cls, probe_idx, probe_cls = [], [], [], []
+        for c in ds.test_classes:
+            idx = ds.indices_of(np.array([c]))
+            enrolled = idx[rng.integers(0, len(idx))]
+            gallery_idx.append(enrolled)
+            gallery_cls.append(int(c))
+            for other in idx:
+                if other != enrolled:
+                    probe_idx.append(other)
+                    probe_cls.append(int(c))
+        for c in ds.distractor_classes:
+            idx = ds.indices_of(np.array([c]))
+            gallery_idx.extend(idx.tolist())
+            gallery_cls.extend([int(c)] * len(idx))
+        return [np.array(v, dtype=np.int64) for v in (gallery_idx, gallery_cls, probe_idx, probe_cls)]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_identification_bitwise(self, seed):
+        ds = small_dataset(seed, num_distractors=37)
+        prot = build_identification_protocol(ds, seed=seed)
+        expected = self.reference_identification(ds, seed)
+        got = [prot.gallery_indices, prot.gallery_classes, prot.probe_indices, prot.probe_classes]
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, e)
+
+    def test_groups_equal_indices_of(self):
+        # the per-class groups that both protocol builders walk
+        ds = small_dataset(1, num_distractors=37)
+        classes = np.concatenate([ds.test_classes, ds.distractor_classes, ds.train_classes])
+        for c, idx in zip(classes, ds.indices_by_class(classes)):
+            assert np.array_equal(idx, ds.indices_of(np.array([c])))
+
+
 class TestOnDiskFormats:
     def test_cache_roundtrip_and_regeneration_bitwise(self, tmp_path):
         ds = small_dataset(seed=5)

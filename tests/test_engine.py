@@ -5,15 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from spherekd.autodiff import Tensor
 from spherekd.checkpoint import load_checkpoint
 from spherekd.config import apply_overrides
 from spherekd.engine import (
+    _precompute_teacher,
+    _train_eval_stats,
     evaluate_checkpoint,
     run_experiment_matrix,
     train_student,
     train_teacher,
 )
 from spherekd.errors import ConfigError, NumericError
+from spherekd.evaluate import extract_embeddings
+from spherekd.nets import ArchConfig, ClassifierHead, StagedNetwork
+from spherekd.rng import substream
 
 from conftest import make_toy_config
 
@@ -200,3 +206,39 @@ class TestExperimentMatrix:
         assert "l2" in report["failures"]["0"]
         assert report["rows"]["l2"]["verification_accuracy"]["mean"] is None
         assert report["rows"]["angular"]["verification_accuracy"]["mean"] is not None
+
+
+class TestEvalPassesBuildNoGraph:
+    ARCH = ArchConfig(
+        input_size=8, in_channels=1, num_stages=2, teacher_channels=(4, 6),
+        student_channels=(2, 3), block_depth=1, embedding_dim=4,
+    )
+
+    def test_no_node_requires_grad(self, monkeypatch):
+        made = []
+        original = Tensor._make
+
+        def recording(self, data, parents, backward):
+            out = original(self, data, parents, backward)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", recording)
+        net = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
+        head = ClassifierHead(3, self.ARCH.embedding_dim, rng=substream(0, "h"))
+        images = np.random.default_rng(0).normal(size=(10, 8, 8, 1))
+        labels = np.arange(10) % 3
+        params = list(net.trainable_params().values()) + [head.weight]
+        assert all(p.requires_grad for p in params)
+
+        extract_embeddings(net, images, batch_size=4)
+        _train_eval_stats(net, head, images, labels, batch_size=4)
+        _precompute_teacher(net, images, "l2", batch_size=4)
+        assert made
+        assert not any(t.requires_grad or t._parents or t._backward for t in made)
+        assert all(p.requires_grad for p in params)
+
+        # the same forward outside those passes does record a graph
+        made.clear()
+        net.forward(Tensor(images[:4]), train=False)
+        assert any(t.requires_grad for t in made)

@@ -147,6 +147,47 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_mean, expected, atol=1e-12)
 
 
+def composite_batch_norm(bn, x, train):
+    """Batch norm built from elementwise Tensor ops, the reference for the fused op."""
+    axes = tuple(range(x.ndim - 1))
+    if train:
+        mean = x.mean(axis=axes, keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        xhat = centered / ((var + bn.eps) ** 0.5)
+        m = bn.momentum
+        bn.running_mean = m * bn.running_mean + (1.0 - m) * mean.data.reshape(-1)
+        bn.running_var = m * bn.running_var + (1.0 - m) * var.data.reshape(-1)
+    else:
+        xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    return xhat * bn.gamma + bn.beta
+
+
+class TestBatchNormMatchesComposite:
+    @pytest.mark.parametrize("train", [True, False])
+    def test_values_gradients_and_running_stats(self, train):
+        rng = np.random.default_rng(40)
+        fused, reference = BatchNorm(5), BatchNorm(5)
+        for bn in (fused, reference):
+            bn.gamma.data[:] = np.linspace(0.5, 1.5, 5)
+            bn.beta.data[:] = np.linspace(-1.0, 1.0, 5)
+            bn.running_mean = np.linspace(-0.3, 0.3, 5)
+            bn.running_var = np.linspace(0.5, 2.0, 5)
+        x = rng.normal(size=(6, 3, 3, 5)) * 2.0 + 1.0
+        g = rng.normal(size=x.shape)
+        results = []
+        for bn, forward in ((fused, BatchNorm.forward), (reference, composite_batch_norm)):
+            xt = Tensor(x.copy(), requires_grad=True)
+            out = forward(bn, xt, train)
+            (out * g).sum().backward()
+            results.append((out.data, xt.grad, bn.gamma.grad, bn.beta.grad))
+        for got, ref in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+        # running statistics follow the same arithmetic, so they agree exactly
+        assert np.array_equal(fused.running_mean, reference.running_mean)
+        assert np.array_equal(fused.running_var, reference.running_var)
+
+
 class TestStudentTransform:
     def test_identity_configuration(self):
         # equal widths, identity projection, neutral bn in eval mode
