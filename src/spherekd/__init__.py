@@ -28,11 +28,7 @@ from .nets import (
     ClassifierHead,
     StagedNetwork,
     StudentTransform,
-    apply_teacher_tail,
     build_reference_pair,
-    classify,
-    forward_all_stages,
-    transform_student_feature,
 )
 
 __version__ = "0.1.0"
@@ -56,8 +52,4 @@ __all__ = [
     "StudentTransform",
     "ClassifierHead",
     "build_reference_pair",
-    "forward_all_stages",
-    "apply_teacher_tail",
-    "transform_student_feature",
-    "classify",
 ]

@@ -14,7 +14,9 @@ Layout (all integers little-endian):
 
 A checkpoint round-trips bitwise: save(load(save(x))) writes identical bytes.
 Records are streamed to a temporary file beside the target, which then
-replaces it, so a failed write never leaves a partial checkpoint behind.
+replaces it (`atomic_open`, which the reports share), so a failed write never
+leaves a partial checkpoint behind. `restore` copies saved arrays back into a
+network's live state after checking each name and shape.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,27 +93,38 @@ def _unpack_tensors(reader: _Reader) -> dict[str, np.ndarray]:
     return tensors
 
 
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
-    meta_blob = json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    fp = ckpt.fingerprint.encode("ascii")
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Write through a temporary file beside `path` that then replaces it.
+
+    A write that fails midway leaves neither a partial file nor the
+    temporary one, and whatever `path` held before stays intact.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", ckpt.version))
-            fh.write(struct.pack("<I", len(fp)))
-            fh.write(fp)
-            _write_tensors(fh, ckpt.tensors)
-            fh.write(struct.pack("<I", len(meta_blob)))
-            fh.write(meta_blob)
-            _write_tensors(fh, ckpt.velocities)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return path
+
+
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
+    meta_blob = json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    fp = ckpt.fingerprint.encode("ascii")
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", ckpt.version))
+        fh.write(struct.pack("<I", len(fp)))
+        fh.write(fp)
+        _write_tensors(fh, ckpt.tensors)
+        fh.write(struct.pack("<I", len(meta_blob)))
+        fh.write(meta_blob)
+        _write_tensors(fh, ckpt.velocities)
+    return Path(path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -126,3 +140,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
     velocities = _unpack_tensors(reader)
     return Checkpoint(fingerprint, tensors, meta, velocities, version)
+
+
+def restore(targets: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
+    """Copy each saved array into the target array of the same name.
+
+    Every target must have a saved array of its own shape; names the targets
+    do not list are ignored (an evaluation needs no distillation transforms).
+    """
+    for name, target in targets.items():
+        if name not in saved:
+            raise ConfigError(f"checkpoint has no tensor {name!r}")
+        if saved[name].shape != target.shape:
+            raise ConfigError(
+                f"checkpoint tensor {name!r} has shape {saved[name].shape}, "
+                f"the architecture needs {target.shape}"
+            )
+        target[...] = saved[name]

@@ -22,8 +22,10 @@ import json
 import sys
 from pathlib import Path
 
-from .config import RunConfig, apply_overrides, dump_config, load_config, write_effective_config
+from .checkpoint import atomic_open
+from .config import RunConfig, apply_overrides, dump_config, load_config
 from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .losses import DISTILL_KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="train a student network")
     common(p)
     p.add_argument("--teacher", type=str, default=None, help="teacher checkpoint path")
-    p.add_argument("--kind", choices=["none", "l2", "angular"], default=None)
+    p.add_argument("--kind", choices=DISTILL_KINDS, default=None)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on the protocols")
     common(p)
@@ -86,10 +88,15 @@ def _effective_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _announce(cfg: RunConfig, out: Path) -> None:
-    write_effective_config(cfg, out)
+def _announce(cfg: RunConfig) -> Path:
+    """Write the effective config into the output directory, echo it, return the directory."""
+    out = Path(cfg.output_dir)
+    text = dump_config(cfg)
+    with atomic_open(out / "effective_config.yaml") as fh:
+        fh.write(text)
     print(f"# effective config ({out / 'effective_config.yaml'}):")
-    print(dump_config(cfg), end="")
+    print(text, end="")
+    return out
 
 
 def _cmd_gen_data(args) -> int:
@@ -101,9 +108,7 @@ def _cmd_gen_data(args) -> int:
     from .engine import dataset_from_config, protocols_from_config
 
     cfg = _effective_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _announce(cfg, out)
+    out = _announce(cfg)
     dataset = dataset_from_config(cfg)
     vprot, iprot = protocols_from_config(cfg, dataset)
     save_dataset_cache(dataset, out / "dataset.bin")
@@ -126,9 +131,7 @@ def _cmd_train_teacher(args) -> int:
     from .engine import train_teacher
 
     cfg = _effective_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _announce(cfg, out)
+    _announce(cfg)
     path, summary = train_teacher(cfg)
     print(f"teacher checkpoint: {path}")
     print(
@@ -144,9 +147,7 @@ def _cmd_distill(args) -> int:
     cfg = _effective_config(args)
     if args.kind is not None:
         cfg = apply_overrides(cfg, [f"distill.kind={args.kind}"])
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _announce(cfg, out)
+    out = _announce(cfg)
     path, summary = train_student(cfg, args.teacher)
     print(f"student checkpoint: {path}")
     metrics = evaluate_checkpoint(cfg, path)
@@ -155,9 +156,8 @@ def _cmd_distill(args) -> int:
         f"(threshold {metrics['verification_threshold']:.4f}), "
         f"rank-1 {metrics['rank1']:.4f}"
     )
-    (out / f"student_{cfg.distill.kind}_eval.json").write_text(
-        json.dumps(metrics, sort_keys=True, indent=2) + "\n"
-    )
+    with atomic_open(out / f"student_{cfg.distill.kind}_eval.json") as fh:
+        fh.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -165,12 +165,11 @@ def _cmd_evaluate(args) -> int:
     from .engine import evaluate_checkpoint
 
     cfg = _effective_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _announce(cfg, out)
+    out = _announce(cfg)
     metrics = evaluate_checkpoint(cfg, args.checkpoint)
     print(json.dumps(metrics, sort_keys=True, indent=2))
-    (out / "evaluation.json").write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    with atomic_open(out / "evaluation.json") as fh:
+        fh.write(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -182,9 +181,7 @@ def _cmd_compare(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _announce(cfg, out)
+    out = _announce(cfg)
     report = run_experiment_matrix(cfg, seeds, parallel=args.parallel)
     print(format_report(report), end="")
     print(f"report: {out / 'report.json'}")
@@ -196,6 +193,8 @@ def _cmd_compare(args) -> int:
 def _cmd_grad_check(args) -> int:
     from .gradcheck import format_results, run_suite
 
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     results = run_suite(group=args.module, instances=args.instances)
     print(format_results(results))
     failed = [r for r in results if not r.passed]

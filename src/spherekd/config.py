@@ -14,7 +14,8 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .nets import ArchConfig
+from .losses import DISTILL_KINDS
+from .nets import ArchConfig, ClassifierHead
 
 
 @dataclass
@@ -72,9 +73,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.arch.validate()
-        if self.classifier.mode not in ("plain", "normalized"):
+        if self.classifier.mode not in ClassifierHead.MODES:
             raise ConfigError(f"classifier.mode: unknown value {self.classifier.mode!r}")
-        if self.distill.kind not in ("none", "l2", "angular"):
+        if self.distill.kind not in DISTILL_KINDS:
             raise ConfigError(f"distill.kind: unknown value {self.distill.kind!r}")
         if self.train.batch_size < 2:
             raise ConfigError("train.batch_size must be >= 2 (batch norm needs it)")
@@ -219,11 +220,3 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
 def dump_config(cfg: RunConfig) -> str:
     """Effective config as YAML with every default materialized."""
     return yaml.safe_dump(cfg.canonical(), sort_keys=True, default_flow_style=False)
-
-
-def write_effective_config(cfg: RunConfig, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "effective_config.yaml"
-    path.write_text(dump_config(cfg))
-    return path

@@ -11,13 +11,21 @@ from __future__ import annotations
 import json
 import math
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import rng as rngmod
 from .autodiff import Tensor, check_finite, no_grad, softmax_cross_entropy
-from .checkpoint import Checkpoint, fingerprint_arch, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    atomic_open,
+    fingerprint_arch,
+    load_checkpoint,
+    restore,
+    save_checkpoint,
+)
 from .config import RunConfig, config_from_tree
 from .data import (
     SyntheticIdentityDataset,
@@ -27,13 +35,21 @@ from .data import (
 )
 from .errors import ConfigError, NumericError
 from .evaluate import extract_embeddings, rank1_identification, verification_accuracy
-from .losses import LambdaSchedule, build_lambda_schedule, composite_loss
-from .nets import ClassifierHead, StagedNetwork, StudentTransform
+from .losses import DISTILL_KINDS, LambdaSchedule, build_lambda_schedule, composite_loss
+from .nets import (
+    ClassifierHead,
+    StagedNetwork,
+    freeze,
+    parameters,
+    stage_transforms,
+    state_arrays,
+)
 from .optim import LrSchedule, SgdMomentum
 from .rng import substream
 
-MATRIX_KINDS = ("none", "l2", "angular")
-ROW_NAMES = {"none": "self_studied", "l2": "l2", "angular": "angular"}
+# report row of each distillation kind; the teacher's row comes first
+ROW_NAMES = {kind: "self_studied" if kind == "none" else kind for kind in DISTILL_KINDS}
+ROWS = ["teacher", *ROW_NAMES.values()]
 
 
 class MetricsLogger:
@@ -133,227 +149,18 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     return feats_all, emb_all
 
 
-def _training_run(
-    *,
-    cfg: RunConfig,
-    role: str,
-    net: StagedNetwork,
-    head: ClassifierHead,
-    transforms: list[StudentTransform],
-    teacher: StagedNetwork | None,
-    kind: str,
-    schedule: LambdaSchedule,
-    images: np.ndarray,
-    labels: np.ndarray,
-    epochs: int,
-    shuffle_purpose: str,
-    logger: MetricsLogger,
-    resume: Checkpoint | None = None,
-) -> dict:
-    params: dict[str, Tensor] = {f"net.{k}": v for k, v in net.trainable_params().items()}
-    params["classifier.weight"] = head.weight
-    if kind != "none":
-        for tr in transforms[: net.num_stages - 1]:
-            for k, v in tr.trainable_params().items():
-                params[k] = v
+def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint | None):
+    """Train one network and persist its checkpoint and metrics log.
 
-    n_samples = len(labels)
-    steps_per_epoch = len(_batches(np.arange(n_samples), cfg.train.batch_size))
-    total_steps = epochs * steps_per_epoch
-    opt = SgdMomentum(params, _schedule_for(cfg, total_steps), cfg.train.momentum)
-    shuffle_rng = substream(cfg.seed, shuffle_purpose)
-    start_epoch = 0
-
-    if resume is not None:
-        for name, p in params.items():
-            p.data = resume.tensors[name].copy()
-        net.load_buffers(
-            {k[len("net.") :]: v for k, v in resume.tensors.items() if ".running_" in k and k.startswith("net.")}
-        )
-        for tr in transforms:
-            keys = tr.buffers().keys()
-            if all(k in resume.tensors for k in keys):
-                tr.load_buffers({k: resume.tensors[k] for k in keys})
-        # velocities and step position come from the checkpoint; the lr
-        # schedule is always derived from the current config's total steps
-        opt.step_count = resume.meta["optimizer"]["step_count"]
-        for name in opt.velocity:
-            opt.velocity[name] = resume.velocities[name].copy()
-        shuffle_rng = rngmod.restore_generator(resume.meta["rng_state"])
-        start_epoch = resume.meta["epoch"]
-
-    logger.write(
-        {
-            "type": "meta",
-            "role": role,
-            "kind": kind,
-            "lambdas": list(schedule.weights) if kind != "none" else [],
-            "epochs": epochs,
-            "steps_per_epoch": steps_per_epoch,
-            "config": cfg.canonical(),
-        }
-    )
-
-    feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
-    step = opt.step_count
-    for epoch in range(start_epoch, epochs):
-        perm = shuffle_rng.permutation(n_samples)
-        epoch_totals = []
-        for batch_no, idx in enumerate(_batches(perm, cfg.train.batch_size)):
-            x = Tensor(images[idx])
-            y = labels[idx]
-            teacher_out = None
-            if kind != "none":
-                feats = None
-                if feats_cache is not None:
-                    feats = [Tensor(f[idx]) for f in feats_cache]
-                teacher_out = (feats, Tensor(emb_cache[idx]))
-            total, parts = composite_loss(
-                x, y, teacher, net, transforms, head, kind, schedule,
-                train=True, teacher_out=teacher_out,
-            )
-            try:
-                check_finite(total, "loss")
-            except NumericError as exc:
-                raise NumericError(
-                    f"{role} run: non-finite loss at epoch {epoch} batch {batch_no}"
-                ) from exc
-            opt.zero_grad()
-            total.backward()
-            lr = opt.step()
-            epoch_totals.append(total.item())
-            logger.write(
-                {"type": "step", "step": step, "lr": lr, "total": total.item(), "parts": parts}
-            )
-            step += 1
-        logger.write(
-            {"type": "epoch", "epoch": epoch, "mean_total": float(np.mean(epoch_totals))}
-        )
-
-    final_loss, final_acc = _train_eval_stats(net, head, images, labels)
-    logger.write(
-        {"type": "final", "train_loss": final_loss, "train_accuracy": final_acc, "epochs": epochs}
-    )
-    return {
-        "train_loss": final_loss,
-        "train_accuracy": final_acc,
-        "optimizer": opt,
-        "shuffle_rng": shuffle_rng,
-        "epochs": epochs,
-    }
-
-
-def _collect_tensors(net, head, transforms, kind) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for k, v in net.trainable_params().items():
-        tensors[f"net.{k}"] = v.data
-    for k, v in net.buffers().items():
-        tensors[f"net.{k}"] = v
-    tensors["classifier.weight"] = head.weight.data
-    if kind != "none":
-        for tr in transforms:
-            for k, v in tr.trainable_params().items():
-                tensors[k] = v.data
-            for k, v in tr.buffers().items():
-                tensors[k] = v
-    return tensors
-
-
-def train_teacher(cfg: RunConfig, out_dir: str | Path | None = None, resume: Checkpoint | None = None):
-    """Train the wide network with classification loss only; persist checkpoint."""
+    Teacher and students share this scheme. A student differs only in width
+    and in the distillation terms its loss adds, which need the frozen
+    teacher and the per-stage transforms (the last transform is saved but
+    unused: the final stage compares embeddings directly).
+    """
     cfg.validate()
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = dataset_from_config(cfg)
-    train_idx = dataset.train_indices
-    images, labels = dataset.images[train_idx], dataset.labels[train_idx]
-
-    net = StagedNetwork(cfg.arch, cfg.arch.teacher_channels, substream(cfg.seed, "teacher-init"))
-    head = ClassifierHead(
-        cfg.data.num_train_classes,
-        cfg.arch.embedding_dim,
-        cfg.classifier.mode,
-        cfg.classifier.scale,
-        substream(cfg.seed, "teacher-classifier-init"),
-    )
-    logger = MetricsLogger(out / "teacher_metrics.jsonl")
-    try:
-        summary = _training_run(
-            cfg=cfg, role="teacher", net=net, head=head, transforms=[], teacher=None,
-            kind="none", schedule=build_lambda_schedule(0.0, cfg.arch.num_stages),
-            images=images, labels=labels, epochs=cfg.train.teacher_epochs,
-            shuffle_purpose="teacher-shuffle", logger=logger, resume=resume,
-        )
-    finally:
-        logger.close()
-
-    ckpt = Checkpoint(
-        fingerprint=fingerprint_arch(cfg.arch),
-        tensors=_collect_tensors(net, head, [], "none"),
-        meta={
-            "role": "teacher",
-            "epoch": summary["epochs"],
-            "optimizer": summary["optimizer"].state(),
-            "rng_state": rngmod.generator_state(summary["shuffle_rng"]),
-            "train_loss": summary["train_loss"],
-            "train_accuracy": summary["train_accuracy"],
-            "classifier": {"mode": cfg.classifier.mode, "scale": cfg.classifier.scale},
-        },
-        velocities=summary["optimizer"].velocity,
-    )
-    path = save_checkpoint(out / "teacher.ckpt", ckpt)
-    return path, {
-        "train_loss": summary["train_loss"],
-        "train_accuracy": summary["train_accuracy"],
-    }
-
-
-def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, ClassifierHead]:
-    role = ckpt.meta["role"]
-    channels = cfg.arch.teacher_channels if role == "teacher" else cfg.arch.student_channels
-    net = StagedNetwork(cfg.arch, channels, substream(0, "rebuild"))
-    for k, v in net.trainable_params().items():
-        v.data = ckpt.tensors[f"net.{k}"].copy()
-    net.load_buffers(
-        {k[len("net.") :]: v for k, v in ckpt.tensors.items() if k.startswith("net.") and ".running_" in k}
-    )
-    cls_meta = ckpt.meta.get("classifier", {})
-    head = ClassifierHead(
-        ckpt.tensors["classifier.weight"].shape[0],
-        cfg.arch.embedding_dim,
-        cls_meta.get("mode", cfg.classifier.mode),
-        cls_meta.get("scale", cfg.classifier.scale),
-        substream(0, "rebuild"),
-    )
-    head.weight.data = ckpt.tensors["classifier.weight"].copy()
-    return net, head
-
-
-def load_teacher(cfg: RunConfig, path: str | Path) -> StagedNetwork:
-    """Load, verify, and freeze a teacher checkpoint for distillation."""
-    ckpt = load_checkpoint(path)
-    if ckpt.meta.get("role") != "teacher":
-        raise ConfigError(f"{path}: checkpoint role is {ckpt.meta.get('role')!r}, not teacher")
-    expected = fingerprint_arch(cfg.arch)
-    if ckpt.fingerprint != expected:
-        raise ConfigError(
-            f"{path}: architecture fingerprint mismatch "
-            f"(checkpoint {ckpt.fingerprint[:12]}.., config {expected[:12]}..)"
-        )
-    net, _ = _rebuild_network(cfg, ckpt)
-    net.freeze()
-    return net
-
-
-def train_student(
-    cfg: RunConfig,
-    teacher_path: str | Path | None,
-    out_dir: str | Path | None = None,
-    resume: Checkpoint | None = None,
-):
-    """Train the narrow network under the configured distillation objective."""
-    cfg.validate()
-    kind = cfg.distill.kind
+    student = role == "student"
+    kind = cfg.distill.kind if student else "none"
+    stem = f"student_{kind}" if student else "teacher"
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = dataset_from_config(cfg)
@@ -364,57 +171,161 @@ def train_student(
     if kind != "none":
         if teacher_path is None:
             raise ConfigError(f"distill kind {kind!r} requires --teacher")
-        teacher = load_teacher(cfg, teacher_path)
+        teacher = load_network(cfg, teacher_path, role="teacher")
+        freeze(teacher)
 
-    student = StagedNetwork(cfg.arch, cfg.arch.student_channels, substream(cfg.seed, "student-init"))
-    t_rng = substream(cfg.seed, "transform-init")
-    transforms = [
-        StudentTransform(i + 1, cfg.arch.student_channels[i], cfg.arch.teacher_channels[i], t_rng)
-        for i in range(cfg.arch.num_stages)
-    ]
+    arch = cfg.arch
+    channels = arch.student_channels if student else arch.teacher_channels
+    net = StagedNetwork(arch, channels, substream(cfg.seed, f"{role}-init"))
     head = ClassifierHead(
         cfg.data.num_train_classes,
-        cfg.arch.embedding_dim,
+        arch.embedding_dim,
         cfg.classifier.mode,
         cfg.classifier.scale,
-        substream(cfg.seed, "student-classifier-init"),
+        substream(cfg.seed, f"{role}-classifier-init"),
     )
-    lam = cfg.distill.resolved_lambda_n()
-    schedule = build_lambda_schedule(lam, cfg.arch.num_stages)
+    transforms = stage_transforms(arch, cfg.seed) if kind != "none" else []
+    lam = cfg.distill.resolved_lambda_n() if student else 0.0
+    schedule = build_lambda_schedule(lam, arch.num_stages)
     if cfg.distill.final_stage_only:
-        schedule = LambdaSchedule((0.0,) * (cfg.arch.num_stages - 1) + (lam,))
+        schedule = LambdaSchedule((0.0,) * (arch.num_stages - 1) + (lam,))
 
-    logger = MetricsLogger(out / f"student_{kind}_metrics.jsonl")
+    modules = [net, head, *transforms]
+    epochs = cfg.train.student_epochs if student else cfg.train.teacher_epochs
+    n_samples = len(labels)
+    steps_per_epoch = len(_batches(np.arange(n_samples), cfg.train.batch_size))
+    opt = SgdMomentum(
+        parameters(net, head, *transforms[:-1]),
+        _schedule_for(cfg, epochs * steps_per_epoch),
+        cfg.train.momentum,
+    )
+    shuffle_rng = substream(cfg.seed, f"{role}-shuffle")
+    start_epoch = 0
+    if resume is not None:
+        restore(state_arrays(*modules), resume.tensors)
+        restore(opt.velocity, resume.velocities)
+        # the step position comes from the checkpoint; the lr schedule and
+        # momentum always come from the current config
+        opt.step_count = resume.meta["optimizer"]["step_count"]
+        shuffle_rng = rngmod.restore_generator(resume.meta["rng_state"])
+        start_epoch = resume.meta["epoch"]
+
+    logger = MetricsLogger(out / f"{stem}_metrics.jsonl")
     try:
-        summary = _training_run(
-            cfg=cfg, role="student", net=student, head=head, transforms=transforms,
-            teacher=teacher, kind=kind, schedule=schedule, images=images, labels=labels,
-            epochs=cfg.train.student_epochs, shuffle_purpose="student-shuffle",
-            logger=logger, resume=resume,
+        logger.write(
+            {
+                "type": "meta",
+                "role": role,
+                "kind": kind,
+                "lambdas": list(schedule.weights) if kind != "none" else [],
+                "epochs": epochs,
+                "steps_per_epoch": steps_per_epoch,
+                "config": cfg.canonical(),
+            }
+        )
+        feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
+        step = opt.step_count
+        for epoch in range(start_epoch, epochs):
+            perm = shuffle_rng.permutation(n_samples)
+            epoch_totals = []
+            for batch_no, idx in enumerate(_batches(perm, cfg.train.batch_size)):
+                teacher_out = None
+                if emb_cache is not None:
+                    feats = None if feats_cache is None else [Tensor(f[idx]) for f in feats_cache]
+                    teacher_out = (feats, Tensor(emb_cache[idx]))
+                total, parts = composite_loss(
+                    Tensor(images[idx]), labels[idx], teacher, net, transforms, head, kind,
+                    schedule, train=True, teacher_out=teacher_out,
+                )
+                try:
+                    check_finite(total, "loss")
+                except NumericError as exc:
+                    raise NumericError(
+                        f"{role} run: non-finite loss at epoch {epoch} batch {batch_no}"
+                    ) from exc
+                opt.zero_grad()
+                total.backward()
+                lr = opt.step()
+                epoch_totals.append(total.item())
+                logger.write(
+                    {"type": "step", "step": step, "lr": lr, "total": total.item(), "parts": parts}
+                )
+                step += 1
+            logger.write(
+                {"type": "epoch", "epoch": epoch, "mean_total": float(np.mean(epoch_totals))}
+            )
+        train_loss, train_accuracy = _train_eval_stats(net, head, images, labels)
+        logger.write(
+            {
+                "type": "final",
+                "train_loss": train_loss,
+                "train_accuracy": train_accuracy,
+                "epochs": epochs,
+            }
         )
     finally:
         logger.close()
 
-    ckpt = Checkpoint(
-        fingerprint=fingerprint_arch(cfg.arch),
-        tensors=_collect_tensors(student, head, transforms, kind),
-        meta={
-            "role": "student",
-            "kind": kind,
-            "epoch": summary["epochs"],
-            "optimizer": summary["optimizer"].state(),
-            "rng_state": rngmod.generator_state(summary["shuffle_rng"]),
-            "train_loss": summary["train_loss"],
-            "train_accuracy": summary["train_accuracy"],
-            "classifier": {"mode": cfg.classifier.mode, "scale": cfg.classifier.scale},
-        },
-        velocities=summary["optimizer"].velocity,
-    )
-    path = save_checkpoint(out / f"student_{kind}.ckpt", ckpt)
-    return path, {
-        "train_loss": summary["train_loss"],
-        "train_accuracy": summary["train_accuracy"],
+    meta = {
+        "role": role,
+        "epoch": epochs,
+        "optimizer": opt.state(),
+        "rng_state": rngmod.generator_state(shuffle_rng),
+        "train_loss": train_loss,
+        "train_accuracy": train_accuracy,
+        "classifier": {"mode": cfg.classifier.mode, "scale": cfg.classifier.scale},
     }
+    if student:
+        meta["kind"] = kind
+    ckpt = Checkpoint(fingerprint_arch(arch), state_arrays(*modules), meta, opt.velocity)
+    path = save_checkpoint(out / f"{stem}.ckpt", ckpt)
+    return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
+
+
+def train_teacher(cfg: RunConfig, out_dir: str | Path | None = None, resume: Checkpoint | None = None):
+    """Train the wide network with classification loss only; persist checkpoint."""
+    return _train(cfg, "teacher", None, out_dir, resume)
+
+
+def train_student(
+    cfg: RunConfig,
+    teacher_path: str | Path | None,
+    out_dir: str | Path | None = None,
+    resume: Checkpoint | None = None,
+):
+    """Train the narrow network under the configured distillation objective."""
+    return _train(cfg, "student", teacher_path, out_dir, resume)
+
+
+def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, ClassifierHead]:
+    teacher = ckpt.meta.get("role") == "teacher"
+    channels = cfg.arch.teacher_channels if teacher else cfg.arch.student_channels
+    net = StagedNetwork(cfg.arch, channels, substream(0, "rebuild"))
+    weight = ckpt.tensors.get("classifier.weight")
+    cls_meta = ckpt.meta.get("classifier", {})
+    head = ClassifierHead(
+        cfg.data.num_train_classes if weight is None else weight.shape[0],
+        cfg.arch.embedding_dim,
+        cls_meta.get("mode", cfg.classifier.mode),
+        cls_meta.get("scale", cfg.classifier.scale),
+        substream(0, "rebuild"),
+    )
+    restore(state_arrays(net, head), ckpt.tensors)
+    return net, head
+
+
+def load_network(cfg: RunConfig, path: str | Path, role: str | None = None) -> StagedNetwork:
+    """The network of the checkpoint at `path`, checked against the config's architecture."""
+    ckpt = load_checkpoint(path)
+    if role is not None and ckpt.meta.get("role") != role:
+        raise ConfigError(f"{path}: checkpoint role is {ckpt.meta.get('role')!r}, not {role}")
+    expected = fingerprint_arch(cfg.arch)
+    if ckpt.fingerprint != expected:
+        raise ConfigError(
+            f"{path}: architecture fingerprint mismatch "
+            f"(checkpoint {ckpt.fingerprint[:12]}.., config {expected[:12]}..)"
+        )
+    return _rebuild_network(cfg, ckpt)[0]
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -433,11 +344,7 @@ def evaluate_network(net: StagedNetwork, dataset, vprot, iprot) -> dict:
 
 def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str | Path) -> dict:
     cfg.validate()
-    ckpt = load_checkpoint(ckpt_path)
-    expected = fingerprint_arch(cfg.arch)
-    if ckpt.fingerprint != expected:
-        raise ConfigError(f"{ckpt_path}: architecture fingerprint mismatch with config")
-    net, _ = _rebuild_network(cfg, ckpt)
+    net = load_network(cfg, ckpt_path)
     dataset = dataset_from_config(cfg)
     vprot, iprot = protocols_from_config(cfg, dataset)
     return evaluate_network(net, dataset, vprot, iprot)
@@ -446,29 +353,17 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str | Path) -> dict:
 # -- experiment matrix -------------------------------------------------------------
 
 
-def _with_updates(cfg: RunConfig, **scalars) -> RunConfig:
-    tree = cfg.canonical()
-    for key, value in scalars.items():
-        node = tree
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = value
-    return config_from_tree(tree)
-
-
 def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
     """Train teacher + the three student variants for one seed; evaluate all."""
     base = config_from_tree(cfg_tree)
-    cfg = _with_updates(base, **{"seed": seed, "output_dir": str(Path(base.output_dir) / f"seed{seed}")})
+    cfg = replace(base, seed=seed, output_dir=str(Path(base.output_dir) / f"seed{seed}"))
     dataset = dataset_from_config(cfg)
     vprot, iprot = protocols_from_config(cfg, dataset)
     cells: dict[str, dict] = {}
 
     try:
         teacher_path, t_summary = train_teacher(cfg)
-        ckpt = load_checkpoint(teacher_path)
-        net, _ = _rebuild_network(cfg, ckpt)
+        net = load_network(cfg, teacher_path)
         cells["teacher"] = evaluate_network(net, dataset, vprot, iprot) | {
             "train_accuracy": t_summary["train_accuracy"]
         }
@@ -476,13 +371,11 @@ def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
         cells["teacher"] = {"error": traceback.format_exc(limit=5)}
         return cells
 
-    for kind in MATRIX_KINDS:
-        row = ROW_NAMES[kind]
+    for kind, row in ROW_NAMES.items():
         try:
-            cfg_k = _with_updates(cfg, **{"distill.kind": kind, "distill.lambda_n": cfg.distill.lambda_n})
+            cfg_k = replace(cfg, distill=replace(cfg.distill, kind=kind))
             student_path, s_summary = train_student(cfg_k, teacher_path)
-            ckpt = load_checkpoint(student_path)
-            net, _ = _rebuild_network(cfg_k, ckpt)
+            net = load_network(cfg_k, student_path)
             cells[row] = evaluate_network(net, dataset, vprot, iprot) | {
                 "train_accuracy": s_summary["train_accuracy"]
             }
@@ -492,27 +385,34 @@ def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
 
 
 def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -> dict:
-    """Teacher plus self-studied / exact-match / angular students per seed."""
+    """Teacher plus self-studied / exact-match / angular students per seed.
+
+    With `parallel` > 1 the seed cells run in at most one process per seed.
+    """
     cfg.validate()
     if not seeds:
         raise ConfigError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"duplicate seeds in {seeds}: each seed writes its own seed<N>/ files")
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tree = cfg.canonical()
 
-    if parallel > 1 and len(seeds) > 1:
+    workers = min(parallel, len(seeds))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_seed_cells, tree, s) for s in seeds]
             per_seed = {s: f.result() for s, f in zip(seeds, futures)}
     else:
         per_seed = {s: run_seed_cells(tree, s) for s in seeds}
 
-    rows = ["teacher", "self_studied", "l2", "angular"]
     metrics = ["verification_accuracy", "rank1"]
     report: dict = {"seeds": list(seeds), "rows": {}, "failures": {}}
-    for row in rows:
+    for row in ROWS:
         report["rows"][row] = {}
         for metric in metrics:
             values = {}
@@ -527,8 +427,10 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
                 "mean": float(np.mean(list(values.values()))) if values else None,
             }
 
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    (out / "summary.txt").write_text(format_report(report))
+    with atomic_open(out / "report.json") as fh:
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with atomic_open(out / "summary.txt") as fh:
+        fh.write(format_report(report))
     return report
 
 
@@ -538,7 +440,7 @@ def format_report(report: dict) -> str:
     header = f"{'model':14s} {'verif.acc':>10s} {'rank1':>10s}   per-seed verif"
     lines.append(header)
     lines.append("-" * len(header))
-    for row in ("teacher", "self_studied", "l2", "angular"):
+    for row in ROWS:
         cells = report["rows"][row]
         va = cells["verification_accuracy"]["mean"]
         r1 = cells["rank1"]["mean"]

@@ -233,7 +233,8 @@ def _case_l2_loss(rng):
 
 
 def _tiny_pair(rng):
-    from .nets import ArchConfig, build_reference_pair
+    """A frozen teacher, a student and their transforms at a tiny shape."""
+    from .nets import ArchConfig, build_reference_pair, freeze
 
     # 8x8 input keeps batch-norm statistics over >= 16 values per channel;
     # smaller maps make the finite-difference step interact with bn curvature
@@ -247,14 +248,15 @@ def _tiny_pair(rng):
         embedding_dim=3,
     )
     seed = int(rng.integers(0, 2**31))
-    return build_reference_pair(arch, seed)
+    teacher, student, transforms = build_reference_pair(arch, seed)
+    freeze(teacher)
+    return teacher, student, transforms
 
 
 def _case_intermediate_loss(rng):
     from .losses import intermediate_angular_loss
 
     teacher, student, transforms = _tiny_pair(rng)
-    teacher.freeze()
     x = Tensor(rng.normal(size=(4, 8, 8, 1)))
     feats_t, _ = teacher.forward(x, train=False)
     feats_s, _ = student.forward(x, train=False)
@@ -267,15 +269,14 @@ def _case_intermediate_loss(rng):
 
 def _case_composite_loss(rng):
     from .losses import build_lambda_schedule, composite_loss
-    from .nets import ClassifierHead
+    from .nets import ClassifierHead, parameters
 
     teacher, student, transforms = _tiny_pair(rng)
-    teacher.freeze()
     head = ClassifierHead(3, 3, mode="normalized", scale=16.0, rng=rng)
     schedule = build_lambda_schedule(1.0, 2)
     x = Tensor(rng.normal(size=(4, 8, 8, 1)))
     labels = rng.integers(0, 3, size=4)
-    leaves = list(student.trainable_params().values())
+    leaves = list(parameters(student).values())
     leaves += [transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
     leaves.append(head.weight)
 
@@ -290,15 +291,14 @@ def _case_composite_loss(rng):
 
 def _case_composite_loss_l2(rng):
     from .losses import build_lambda_schedule, composite_loss
-    from .nets import ClassifierHead
+    from .nets import ClassifierHead, parameters
 
     teacher, student, transforms = _tiny_pair(rng)
-    teacher.freeze()
     head = ClassifierHead(3, 3, mode="plain", rng=rng)
     schedule = build_lambda_schedule(0.001, 2)
     x = Tensor(rng.normal(size=(4, 8, 8, 1)))
     labels = rng.integers(0, 3, size=4)
-    leaves = list(student.trainable_params().values())
+    leaves = list(parameters(student).values())
     leaves += [transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
     leaves.append(head.weight)
 

@@ -97,9 +97,12 @@ class BatchNorm:
             running = (self.running_mean, self.running_var)
             return ad.batch_norm(x, self.gamma, self.beta, self.eps, running)[0]
         out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps)
+        # in place, so that the buffers a network lists keep their identity
         m = self.momentum
-        self.running_mean = m * self.running_mean + (1.0 - m) * mean
-        self.running_var = m * self.running_var + (1.0 - m) * var
+        self.running_mean *= m
+        self.running_mean += (1.0 - m) * mean
+        self.running_var *= m
+        self.running_var += (1.0 - m) * var
         return out
 
 
@@ -145,7 +148,6 @@ class StagedNetwork:
         arch.validate()
         self.arch = arch
         self.channels = tuple(channels)
-        self.frozen = False
         self.blocks: list[Block] = []
         c_prev = arch.in_channels
         for c in channels:
@@ -204,41 +206,26 @@ class StagedNetwork:
             x = self.blocks[i].forward(x, train=False)
         return self.head(x)
 
-    # -- parameter bookkeeping --------------------------------------------
+    # -- named state --------------------------------------------------------
 
-    def trainable_params(self) -> dict[str, Tensor]:
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        """Parameters, then batch-norm buffers, under their checkpoint names."""
         params: dict[str, Tensor] = {}
+        buffers: dict[str, np.ndarray] = {}
         for i, block in enumerate(self.blocks, start=1):
             for k, unit in enumerate(block.units, start=1):
-                params[f"block{i}.conv{k}.weight"] = unit.weight
-                params[f"block{i}.bn{k}.gamma"] = unit.bn.gamma
-                params[f"block{i}.bn{k}.beta"] = unit.bn.beta
-                params[f"block{i}.prelu{k}.slope"] = unit.slope
-        params["head.weight"] = self.head_weight
-        return params
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        bufs: dict[str, np.ndarray] = {}
-        for i, block in enumerate(self.blocks, start=1):
-            for k, unit in enumerate(block.units, start=1):
-                bufs[f"block{i}.bn{k}.running_mean"] = unit.bn.running_mean
-                bufs[f"block{i}.bn{k}.running_var"] = unit.bn.running_var
-        return bufs
-
-    def load_buffers(self, bufs: dict[str, np.ndarray]) -> None:
-        for i, block in enumerate(self.blocks, start=1):
-            for k, unit in enumerate(block.units, start=1):
-                unit.bn.running_mean = bufs[f"block{i}.bn{k}.running_mean"].copy()
-                unit.bn.running_var = bufs[f"block{i}.bn{k}.running_var"].copy()
+                prefix = f"net.block{i}."
+                params[f"{prefix}conv{k}.weight"] = unit.weight
+                params[f"{prefix}bn{k}.gamma"] = unit.bn.gamma
+                params[f"{prefix}bn{k}.beta"] = unit.bn.beta
+                params[f"{prefix}prelu{k}.slope"] = unit.slope
+                buffers[f"{prefix}bn{k}.running_mean"] = unit.bn.running_mean
+                buffers[f"{prefix}bn{k}.running_var"] = unit.bn.running_var
+        params["net.head.weight"] = self.head_weight
+        return params | buffers
 
     def param_count(self) -> int:
-        return sum(p.data.size for p in self.trainable_params().values())
-
-    def freeze(self) -> None:
-        for p in self.trainable_params().values():
-            p.requires_grad = False
-            p.grad = None
-        self.frozen = True
+        return sum(p.data.size for p in parameters(self).values())
 
 
 class StudentTransform:
@@ -263,22 +250,15 @@ class StudentTransform:
             )
         return self.bn.forward(ad.conv2d_1x1(feature, self.proj), train)
 
-    def trainable_params(self) -> dict[str, Tensor]:
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        prefix = f"transform{self.stage}."
         return {
-            f"transform{self.stage}.proj.weight": self.proj,
-            f"transform{self.stage}.bn.gamma": self.bn.gamma,
-            f"transform{self.stage}.bn.beta": self.bn.beta,
+            f"{prefix}proj.weight": self.proj,
+            f"{prefix}bn.gamma": self.bn.gamma,
+            f"{prefix}bn.beta": self.bn.beta,
+            f"{prefix}bn.running_mean": self.bn.running_mean,
+            f"{prefix}bn.running_var": self.bn.running_var,
         }
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {
-            f"transform{self.stage}.bn.running_mean": self.bn.running_mean,
-            f"transform{self.stage}.bn.running_var": self.bn.running_var,
-        }
-
-    def load_buffers(self, bufs: dict[str, np.ndarray]) -> None:
-        self.bn.running_mean = bufs[f"transform{self.stage}.bn.running_mean"].copy()
-        self.bn.running_var = bufs[f"transform{self.stage}.bn.running_var"].copy()
 
 
 class ClassifierHead:
@@ -320,25 +300,41 @@ class ClassifierHead:
         return cos * self.scale
 
 
-# -- module-level operation aliases ------------------------------------------
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        return {"classifier.weight": self.weight}
 
 
-def forward_all_stages(net: StagedNetwork, batch: Tensor, train: bool = False):
-    """Stage features F_1..F_n and the final embedding for a batch."""
-    return net.forward(batch, train=train)
+# -- named state of modules --------------------------------------------------
+#
+# StagedNetwork, StudentTransform and ClassifierHead each list their state
+# under its checkpoint name: a Tensor is a parameter, an array is a buffer.
 
 
-def apply_teacher_tail(teacher: StagedNetwork, stage: int, feature: Tensor) -> Tensor:
-    """Teacher's interpretation of a stage-i feature: blocks i+1..n, then head."""
-    return teacher.tail(stage, feature)
+def parameters(*modules) -> dict[str, Tensor]:
+    return {k: v for m in modules for k, v in m.state().items() if isinstance(v, Tensor)}
 
 
-def transform_student_feature(transform: StudentTransform, feature: Tensor, train: bool = True) -> Tensor:
-    return transform.forward(feature, train)
+def freeze(*modules) -> None:
+    """Stop gradients into every parameter: a frozen network is a fixed function."""
+    for p in parameters(*modules).values():
+        p.requires_grad = False
+        p.grad = None
 
 
-def classify(head: ClassifierHead, embedding: Tensor) -> Tensor:
-    return head.logits(embedding)
+def state_arrays(*modules) -> dict[str, np.ndarray]:
+    """The live arrays behind every parameter and buffer, in checkpoint order."""
+    return {
+        k: v.data if isinstance(v, Tensor) else v for m in modules for k, v in m.state().items()
+    }
+
+
+def stage_transforms(arch: ArchConfig, seed: int) -> list[StudentTransform]:
+    """One transform per stage, lifting student width to teacher width."""
+    rng = substream(seed, "transform-init")
+    return [
+        StudentTransform(i + 1, arch.student_channels[i], arch.teacher_channels[i], rng)
+        for i in range(arch.num_stages)
+    ]
 
 
 def build_reference_pair(
@@ -348,9 +344,4 @@ def build_reference_pair(
     arch.validate()
     teacher = StagedNetwork(arch, arch.teacher_channels, substream(seed, "teacher-init"))
     student = StagedNetwork(arch, arch.student_channels, substream(seed, "student-init"))
-    t_rng = substream(seed, "transform-init")
-    transforms = [
-        StudentTransform(i + 1, arch.student_channels[i], arch.teacher_channels[i], t_rng)
-        for i in range(arch.num_stages)
-    ]
-    return teacher, student, transforms
+    return teacher, student, stage_transforms(arch, seed)

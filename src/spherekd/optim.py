@@ -65,12 +65,3 @@ class SgdMomentum:
             "momentum": self.momentum,
             "step_count": self.step_count,
         }
-
-    def load_state(self, state: dict, velocities: dict[str, np.ndarray]) -> None:
-        self.schedule = LrSchedule(
-            state["base_lr"], tuple(state["decay_steps"]), state["factor"]
-        )
-        self.momentum = state["momentum"]
-        self.step_count = state["step_count"]
-        for name in self.velocity:
-            self.velocity[name] = velocities[name].copy()

@@ -26,7 +26,7 @@ from spherekd.losses import (
     intermediate_angular_loss,
     l2_distill_loss,
 )
-from spherekd.nets import ArchConfig, StagedNetwork, build_reference_pair
+from spherekd.nets import ArchConfig, StagedNetwork, build_reference_pair, freeze
 from spherekd.rng import substream
 
 from conftest import make_toy_config
@@ -214,7 +214,7 @@ def test_criterion_08_composition_invariant():
         student_channels=(2, 3), block_depth=1, embedding_dim=4,
     )
     teacher, student, transforms = build_reference_pair(tiny, seed=6)
-    teacher.freeze()
+    freeze(teacher)
     x = Tensor(rng.normal(size=(3, 8, 8, 1)))
     feats_t, _ = teacher.forward(x)
     feats_s, _ = student.forward(x)

@@ -7,6 +7,7 @@ from spherekd.checkpoint import (
     Checkpoint,
     fingerprint_arch,
     load_checkpoint,
+    restore,
     save_checkpoint,
 )
 from spherekd.errors import ConfigError
@@ -94,6 +95,27 @@ class TestRoundTrip:
             load_checkpoint(path)
 
 
+class TestRestore:
+    def test_copies_in_place_and_ignores_other_names(self):
+        target = {"a": np.zeros(3), "b": np.zeros((2, 2))}
+        identity = {k: id(v) for k, v in target.items()}
+        saved = {"a": np.arange(3.0), "b": np.ones((2, 2)), "extra": np.ones(5)}
+        restore(target, saved)
+        assert {k: id(v) for k, v in target.items()} == identity
+        assert np.array_equal(target["a"], saved["a"])
+        assert np.array_equal(target["b"], saved["b"])
+
+    def test_missing_tensor_named(self):
+        with pytest.raises(ConfigError, match="'b'"):
+            restore({"a": np.zeros(3), "b": np.zeros(2)}, {"a": np.ones(3)})
+
+    def test_wrong_shape_named(self):
+        target = {"a": np.zeros(3)}
+        with pytest.raises(ConfigError, match=r"'a' has shape \(4,\)"):
+            restore(target, {"a": np.ones(4)})
+        assert np.array_equal(target["a"], np.zeros(3))
+
+
 class TestFingerprint:
     def test_stable_for_equal_config(self):
         assert fingerprint_arch(ArchConfig()) == fingerprint_arch(ArchConfig())
@@ -105,10 +127,11 @@ class TestFingerprint:
 
 
 class TestResume:
-    def test_resume_matches_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["teacher", "none", "l2", "angular"])
+    def test_resume_matches_straight_run(self, tmp_path, kind):
         """Training 2+2 epochs through a checkpoint equals training 4 straight."""
         from spherekd.config import RunConfig, apply_overrides
-        from spherekd.engine import train_teacher
+        from spherekd.engine import train_student, train_teacher
 
         base = apply_overrides(
             RunConfig().validate(),
@@ -119,28 +142,35 @@ class TestResume:
                 "data.image_size=8", "data.num_train_classes=4",
                 "data.num_test_classes=2", "data.samples_per_class=4",
                 "data.num_distractors=4", "data.pairs_per_side=4", "data.folds=2",
-                "train.batch_size=4", "train.teacher_epochs=4",
+                "train.batch_size=4", "train.teacher_epochs=4", "train.student_epochs=4",
                 # constant lr: decay points scale with total steps, which would
                 # make a 2-epoch run differ from the first half of a 4-epoch run
                 "train.decay_at=[]",
             ],
         )
+        if kind == "teacher":
+            train = train_teacher
+        else:
+            base = apply_overrides(base, [f"distill.kind={kind}"])
+            teacher_path, _ = train_teacher(base, out_dir=tmp_path / "teacher")
 
-        straight_dir = tmp_path / "straight"
-        path_straight, _ = train_teacher(base, out_dir=straight_dir)
+            def train(cfg, out_dir, resume=None):
+                return train_student(cfg, teacher_path, out_dir=out_dir, resume=resume)
+
+        path_straight, _ = train(base, out_dir=tmp_path / "straight")
 
         # same config but stop at 2 epochs, then resume to 4
-        short = apply_overrides(base, ["train.teacher_epochs=2"])
-        part_dir = tmp_path / "part"
-        path_part, _ = train_teacher(short, out_dir=part_dir)
-        resumed_dir = tmp_path / "resumed"
-        path_resumed, _ = train_teacher(
-            base, out_dir=resumed_dir, resume=load_checkpoint(path_part)
+        short = apply_overrides(base, ["train.teacher_epochs=2", "train.student_epochs=2"])
+        path_part, _ = train(short, out_dir=tmp_path / "part")
+        path_resumed, _ = train(
+            base, out_dir=tmp_path / "resumed", resume=load_checkpoint(path_part)
         )
 
         a = load_checkpoint(path_straight)
         b = load_checkpoint(path_resumed)
+        assert list(a.tensors) == list(b.tensors)
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name]), name
         assert a.meta["optimizer"] == b.meta["optimizer"]
         assert a.meta["rng_state"] == b.meta["rng_state"]
+        assert path_straight.read_bytes() == path_resumed.read_bytes()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from spherekd.checkpoint import load_checkpoint, save_checkpoint
 from spherekd.cli import main
 
 from conftest import TOY_OVERRIDES
@@ -118,6 +119,38 @@ class TestEvaluate:
         assert code == 3
 
 
+@pytest.fixture(scope="module")
+def toy_teacher(tmp_path_factory):
+    out = tmp_path_factory.mktemp("teacher")
+    assert run_cli("train-teacher", *toy_args(out)) == 0
+    return out / "teacher.ckpt"
+
+
+class TestCheckpointTensors:
+    """A checkpoint whose tensors do not fit the architecture is a config error."""
+
+    FAULTS = {
+        "missing": lambda tensors: tensors.pop("net.block2.bn1.running_var"),
+        "wrong_shape": lambda tensors: tensors.update(
+            {"net.block2.bn1.running_var": np.ones(5)}
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", ["evaluate", "distill"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_bad_tensor_exits_2_naming_it(self, tmp_path, capsys, toy_teacher, verb, fault):
+        ckpt = load_checkpoint(toy_teacher)
+        self.FAULTS[fault](ckpt.tensors)
+        bad = save_checkpoint(tmp_path / "bad.ckpt", ckpt)
+        flag = "--checkpoint" if verb == "evaluate" else "--teacher"
+        capsys.readouterr()
+        code = run_cli(verb, *toy_args(tmp_path / "run"), flag, str(bad))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "net.block2.bn1.running_var" in err
+        assert "Traceback" not in err
+
+
 class TestCompare:
     def test_single_seed_report_shape(self, tmp_path):
         out = tmp_path / "matrix"
@@ -138,6 +171,16 @@ class TestCompare:
         code = run_cli("compare", *toy_args(tmp_path / "x"), "--seeds", "a,b")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--seeds", "0,0"], ["--parallel", "0"], ["--parallel", "-2"]]
+    )
+    def test_bad_flag_exits_2_before_training(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        code = run_cli("compare", *toy_args(out), *flags)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "seed0").exists()
+
 
 class TestGradCheck:
     def test_fresh_build_passes(self, capsys):
@@ -146,6 +189,14 @@ class TestGradCheck:
         text = capsys.readouterr().out
         assert "max rel err" in text
         assert "gradient checks passed" in text
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_exits_2(self, capsys, instances):
+        code = run_cli("grad-check", "--instances", instances)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--instances" in captured.err
+        assert "passed" not in captured.out
 
     def test_module_filter(self, capsys):
         code = run_cli("grad-check", "--module", "losses", "--instances", "1")

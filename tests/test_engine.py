@@ -18,7 +18,14 @@ from spherekd.engine import (
 )
 from spherekd.errors import ConfigError, NumericError
 from spherekd.evaluate import extract_embeddings
-from spherekd.nets import ArchConfig, ClassifierHead, StagedNetwork
+from spherekd.nets import (
+    ArchConfig,
+    ClassifierHead,
+    StagedNetwork,
+    parameters,
+    stage_transforms,
+    state_arrays,
+)
 from spherekd.rng import substream
 
 from conftest import make_toy_config
@@ -129,6 +136,20 @@ class TestTrainStudent:
         assert ckpt.meta["kind"] == "angular"
         assert "transform1.proj.weight" in ckpt.tensors
 
+    @pytest.mark.parametrize("kind", ["none", "angular"])
+    def test_checkpoint_holds_the_named_state(self, tmp_path, kind):
+        cfg = make_toy_config(tmp_path / "run", extra=[f"distill.kind={kind}"])
+        teacher_path, _ = train_teacher(cfg)
+        student_path, _ = train_student(cfg, teacher_path)
+        arch = cfg.arch
+        net = StagedNetwork(arch, arch.student_channels, substream(0, "s"))
+        head = ClassifierHead(cfg.data.num_train_classes, arch.embedding_dim)
+        transforms = stage_transforms(arch, 0) if kind != "none" else []
+        ckpt = load_checkpoint(student_path)
+        assert list(ckpt.tensors) == list(state_arrays(net, head, *transforms))
+        # the optimizer trains every parameter but those of the last transform
+        assert list(ckpt.velocities) == list(parameters(net, head, *transforms[:-1]))
+
     def test_final_stage_only_flag(self, tmp_path):
         cfg = make_toy_config(
             tmp_path / "run", extra=["distill.kind=l2", "distill.final_stage_only=true"]
@@ -208,6 +229,101 @@ class TestExperimentMatrix:
         assert report["rows"]["angular"]["verification_accuracy"]["mean"] is not None
 
 
+def fake_cells(accuracy):
+    """Stand-in for run_seed_cells that trains nothing."""
+
+    def cells(tree, seed):
+        return {
+            row: {"verification_accuracy": accuracy, "rank1": accuracy}
+            for row in ("teacher", "self_studied", "l2", "angular")
+        }
+
+    return cells
+
+
+class TestMatrixArguments:
+    @pytest.mark.parametrize(
+        "seeds, parallel", [([0, 0], 1), ([0, 1, 0], 2), ([0], 0), ([0, 1], -1)]
+    )
+    def test_bad_seeds_or_parallel_rejected(self, tmp_path, seeds, parallel):
+        with pytest.raises(ConfigError):
+            run_experiment_matrix(make_toy_config(tmp_path / "m"), seeds, parallel=parallel)
+
+    def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        import spherekd.engine as engine_mod
+
+        recorded = []
+
+        class RecordingExecutor:
+            """Runs each job inline; starts no process."""
+
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(engine_mod, "run_seed_cells", fake_cells(0.5))
+        run_experiment_matrix(make_toy_config(tmp_path / "a"), [0, 1], parallel=8)
+        run_experiment_matrix(make_toy_config(tmp_path / "b"), [0, 1, 2], parallel=2)
+        run_experiment_matrix(make_toy_config(tmp_path / "c"), [0], parallel=4)
+        assert recorded == [2, 2]  # one seed runs in this process
+
+
+class TestAtomicReports:
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        import builtins
+
+        import spherekd.checkpoint as checkpoint_mod
+        import spherekd.engine as engine_mod
+
+        cfg = make_toy_config(tmp_path / "m")
+        monkeypatch.setattr(engine_mod, "run_seed_cells", fake_cells(0.5))
+        run_experiment_matrix(cfg, [0])
+        out = tmp_path / "m"
+        before = {name: (out / name).read_bytes() for name in ("report.json", "summary.txt")}
+
+        written = []
+
+        class HalfWriter:
+            """A file that writes half of what it is given, then fails."""
+
+            def __init__(self, path, mode):
+                self.fh = builtins.open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                written.append(len(text) // 2)
+                raise OSError("disk full")
+
+        monkeypatch.setattr(engine_mod, "run_seed_cells", fake_cells(0.75))
+        monkeypatch.setattr(checkpoint_mod, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment_matrix(cfg, [0])
+        assert written and written[0] > 0  # the report was partly written
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "summary.txt"]
+
+
 class TestEvalPassesBuildNoGraph:
     ARCH = ArchConfig(
         input_size=8, in_channels=1, num_stages=2, teacher_channels=(4, 6),
@@ -228,7 +344,7 @@ class TestEvalPassesBuildNoGraph:
         head = ClassifierHead(3, self.ARCH.embedding_dim, rng=substream(0, "h"))
         images = np.random.default_rng(0).normal(size=(10, 8, 8, 1))
         labels = np.arange(10) % 3
-        params = list(net.trainable_params().values()) + [head.weight]
+        params = list(parameters(net).values()) + [head.weight]
         assert all(p.requires_grad for p in params)
 
         extract_embeddings(net, images, batch_size=4)

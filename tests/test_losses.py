@@ -13,7 +13,7 @@ from spherekd.losses import (
     intermediate_angular_loss,
     l2_distill_loss,
 )
-from spherekd.nets import ArchConfig, ClassifierHead, build_reference_pair
+from spherekd.nets import ArchConfig, ClassifierHead, build_reference_pair, freeze, parameters
 from spherekd.rng import substream
 
 ARCH = ArchConfig(
@@ -29,7 +29,7 @@ ARCH = ArchConfig(
 
 def make_pair(seed=0, arch=ARCH):
     teacher, student, transforms = build_reference_pair(arch, seed)
-    teacher.freeze()
+    freeze(teacher)
     return teacher, student, transforms
 
 
@@ -146,7 +146,7 @@ class TestIntermediateAngularLoss:
             student_channels=(4, 6), block_depth=1, embedding_dim=4,
         )
         teacher_eq, _, transforms_eq = build_reference_pair(arch_eq, seed=2)
-        teacher_eq.freeze()
+        freeze(teacher_eq)
         tr = transforms_eq[0]
         tr.proj.data = np.eye(4)
         feats, _ = teacher_eq.forward(x)
@@ -207,7 +207,7 @@ class TestIntermediateAngularLoss:
         loss.backward()
         assert f_s.grad is not None
         assert transforms[0].proj.grad is not None
-        assert all(p.grad is None for p in teacher.trainable_params().values())
+        assert all(p.grad is None for p in parameters(teacher).values())
 
 
 class TestLambdaSchedule:
@@ -282,9 +282,9 @@ class TestCompositeLoss:
             student_channels=(4, 6), block_depth=1, embedding_dim=4,
         )
         teacher, student, transforms = build_reference_pair(arch_eq, seed=10)
-        teacher.freeze()
-        t_params = teacher.trainable_params()
-        for name, p in student.trainable_params().items():
+        freeze(teacher)
+        t_params = parameters(teacher)
+        for name, p in parameters(student).items():
             p.data = t_params[name].data.copy()
         for tr, width in zip(transforms, arch_eq.teacher_channels):
             tr.proj.data = np.eye(width)
@@ -321,8 +321,8 @@ class TestCompositeLoss:
             x, labels, teacher, student, transforms, head, "angular", sched, train=True
         )
         total.backward()
-        assert all(p.grad is None for p in teacher.trainable_params().values())
-        assert all(p.grad is not None for p in student.trainable_params().values())
+        assert all(p.grad is None for p in parameters(teacher).values())
+        assert all(p.grad is not None for p in parameters(student).values())
 
     def test_schedule_length_mismatch(self):
         teacher, student, transforms, head, x, labels = self._setup(seed=13)

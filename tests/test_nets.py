@@ -12,11 +12,10 @@ from spherekd.nets import (
     ClassifierHead,
     StagedNetwork,
     StudentTransform,
-    apply_teacher_tail,
     build_reference_pair,
-    classify,
-    forward_all_stages,
-    transform_student_feature,
+    freeze,
+    parameters,
+    state_arrays,
 )
 from spherekd.rng import substream
 
@@ -43,7 +42,7 @@ class TestForwardAllStages:
         )
         net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
         x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 4, 1)))
-        feats, emb = forward_all_stages(net, x)
+        feats, emb = net.forward(x)
         assert len(feats) == 1
         direct = net.blocks[0].forward(x, train=False)
         assert np.array_equal(feats[0].data, direct.data)
@@ -88,7 +87,7 @@ class TestTeacherTail:
         net = tiny_teacher()
         x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 8, 1)))
         feats, emb = net.forward(x)
-        out = apply_teacher_tail(net, net.num_stages, feats[-1])
+        out = net.tail(net.num_stages, feats[-1])
         assert np.array_equal(out.data, emb.data)
 
     def test_tail_composition_identity_every_stage(self):
@@ -96,19 +95,19 @@ class TestTeacherTail:
         x = Tensor(np.random.default_rng(5).normal(size=(3, 8, 8, 1)))
         feats, emb = net.forward(x, train=False)
         for stage in range(1, net.num_stages + 1):
-            out = apply_teacher_tail(net, stage, feats[stage - 1])
+            out = net.tail(stage, feats[stage - 1])
             assert np.array_equal(out.data, emb.data)
 
     def test_shape_mismatch_names_stage(self):
         net = tiny_teacher()
         with pytest.raises(DimensionError, match="stage 1"):
-            apply_teacher_tail(net, 1, Tensor(np.zeros((2, 4, 4, 5))))
+            net.tail(1, Tensor(np.zeros((2, 4, 4, 5))))
         with pytest.raises(DimensionError):
-            apply_teacher_tail(net, 3, Tensor(np.zeros((2, 2, 2, 6))))
+            net.tail(3, Tensor(np.zeros((2, 2, 2, 6))))
 
     def test_gradient_flows_to_feature(self):
         net = tiny_teacher()
-        net.freeze()
+        freeze(net)
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 8, 8, 1)))
         feats, _ = net.forward(x)
@@ -118,12 +117,12 @@ class TestTeacherTail:
 
     def test_frozen_params_get_no_grads(self):
         net = tiny_teacher()
-        net.freeze()
+        freeze(net)
         x = Tensor(np.random.default_rng(7).normal(size=(2, 8, 8, 1)))
         f = Tensor(np.random.default_rng(8).normal(size=(2, 4, 4, 4)), requires_grad=True)
         (net.tail(1, f) ** 2).mean().backward()
         assert f.grad is not None
-        assert all(p.grad is None for p in net.trainable_params().values())
+        assert all(p.grad is None for p in parameters(net).values())
 
 
 class TestBatchNorm:
@@ -145,6 +144,36 @@ class TestBatchNorm:
         bn.forward(x, train=True)
         expected = 0.9 * before + 0.1 * x.data.mean(axis=(0, 1, 2))
         np.testing.assert_allclose(bn.running_mean, expected, atol=1e-12)
+
+
+class TestNamedState:
+    def test_checkpoint_names_in_order(self):
+        teacher, student, transforms = build_reference_pair(TINY, seed=4)
+        head = ClassifierHead(3, TINY.embedding_dim, rng=substream(4, "cls"))
+        names = list(state_arrays(student, head, transforms[0]))
+        units = ["block1", "block2"]
+        assert names == [
+            *(f"net.{b}.{n}" for b in units
+              for n in ("conv1.weight", "bn1.gamma", "bn1.beta", "prelu1.slope")),
+            "net.head.weight",
+            *(f"net.{b}.bn1.{n}" for b in units for n in ("running_mean", "running_var")),
+            "classifier.weight",
+            "transform1.proj.weight", "transform1.bn.gamma", "transform1.bn.beta",
+            "transform1.bn.running_mean", "transform1.bn.running_var",
+        ]
+        assert list(parameters(student, head, transforms[0])) == [
+            n for n in names if "running" not in n
+        ]
+
+    def test_state_arrays_are_live_through_training_steps(self):
+        net = tiny_teacher()
+        arrays = state_arrays(net)
+        x = Tensor(np.random.default_rng(14).normal(size=(4, 8, 8, 1)))
+        before = arrays["net.block1.bn1.running_mean"].copy()
+        net.forward(x, train=True)
+        bn = net.blocks[0].units[0].bn
+        assert arrays["net.block1.bn1.running_mean"] is bn.running_mean
+        assert not np.array_equal(bn.running_mean, before)
 
 
 def composite_batch_norm(bn, x, train):
@@ -194,7 +223,7 @@ class TestStudentTransform:
         tr = StudentTransform(1, 3, 3, substream(0, "tr"))
         tr.proj.data = np.eye(3)
         x = Tensor(np.random.default_rng(10).normal(size=(2, 4, 4, 3)))
-        out = transform_student_feature(tr, x, train=False)
+        out = tr.forward(x, train=False)
         # eval-mode bn still divides by sqrt(1 + eps): identity up to 1e-5
         np.testing.assert_allclose(out.data, x.data, rtol=1e-5, atol=1e-9)
 
@@ -225,14 +254,14 @@ class TestClassifierHead:
         head = ClassifierHead(4, 6, mode="normalized", scale=16.0, rng=rng)
         y = 2
         f = head.weight.data[y] / np.linalg.norm(head.weight.data[y])
-        logits = classify(head, Tensor(f[None, :]))
+        logits = head.logits(Tensor(f[None, :]))
         assert logits.data[0, y] == pytest.approx(16.0, abs=1e-10)
 
     def test_scale_invariance_of_normalized_logits(self):
         head = ClassifierHead(5, 4, mode="normalized", scale=16.0, rng=substream(1, "cls"))
         f = np.random.default_rng(12).normal(size=(3, 4))
-        l1 = classify(head, Tensor(f)).data
-        l2 = classify(head, Tensor(2.0 * f)).data
+        l1 = head.logits(Tensor(f)).data
+        l2 = head.logits(Tensor(2.0 * f)).data
         np.testing.assert_allclose(l1, l2, atol=1e-10)
         assert np.array_equal(np.argmax(l1, axis=1), np.argmax(l2, axis=1))
 
@@ -240,7 +269,7 @@ class TestClassifierHead:
         head = ClassifierHead(2, 3, mode="plain", rng=substream(2, "cls"))
         head.weight.data = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
         f = np.array([[2.0, 3.0, -1.0]])
-        logits = classify(head, Tensor(f))
+        logits = head.logits(Tensor(f))
         np.testing.assert_allclose(logits.data, [[2.0 * 1 + 3 * 0 + (-1) * 2, -3.0 - 1.0]])
 
     def test_bias_is_structurally_absent(self):
@@ -281,14 +310,13 @@ class TestReferencePair:
 
     def test_freeze_marks_all_params(self):
         teacher, _, _ = build_reference_pair(TINY, seed=2)
-        teacher.freeze()
-        assert teacher.frozen
-        assert all(not p.requires_grad for p in teacher.trainable_params().values())
+        freeze(teacher)
+        assert all(not p.requires_grad for p in parameters(teacher).values())
 
     def test_same_seed_same_weights(self):
         t1, s1, tr1 = build_reference_pair(TINY, seed=3)
         t2, s2, tr2 = build_reference_pair(TINY, seed=3)
-        for a, b in zip(t1.trainable_params().values(), t2.trainable_params().values()):
+        for a, b in zip(parameters(t1).values(), parameters(t2).values()):
             assert np.array_equal(a.data, b.data)
         for a, b in zip(tr1, tr2):
             assert np.array_equal(a.proj.data, b.proj.data)

@@ -87,19 +87,3 @@ class TestLrSchedule:
     def test_invalid_lr(self):
         with pytest.raises(ContractError):
             SgdMomentum({}, LrSchedule(0.0))
-
-    def test_state_roundtrip(self):
-        params, p = single_param(1.0)
-        opt = SgdMomentum(params, LrSchedule(0.1, (3,), 0.1), momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()
-        state = opt.state()
-        vel = {k: v.copy() for k, v in opt.velocity.items()}
-
-        params2, p2 = single_param(1.0)
-        opt2 = SgdMomentum(params2, LrSchedule(0.5), momentum=0.0)
-        opt2.load_state(state, vel)
-        assert opt2.step_count == 1
-        assert opt2.momentum == 0.9
-        assert opt2.schedule == LrSchedule(0.1, (3,), 0.1)
-        assert np.array_equal(opt2.velocity["p"], opt.velocity["p"])
