@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import ConfigError
 from .rng import substream
 
@@ -310,8 +311,9 @@ def save_dataset_cache(dataset: SyntheticIdentityDataset, path: str | Path) -> P
         labels.tobytes(),
     ]
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(parts))
+    with atomic_open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
     return path
 
 
@@ -358,8 +360,8 @@ def save_verification_protocol(protocol: VerificationProtocol, path: str | Path)
     for a, b, s in zip(protocol.index_a, protocol.index_b, protocol.same):
         lines.append(f"{a} {b} {int(s)}")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -392,8 +394,8 @@ def save_identification_protocol(protocol: IdentificationProtocol, path: str | P
     for idx, cls in zip(protocol.probe_indices, protocol.probe_classes):
         lines.append(f"probe {idx} {cls}")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 

@@ -297,21 +297,17 @@ def train_student(
     return _train(cfg, "student", teacher_path, out_dir, resume)
 
 
-def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, ClassifierHead]:
+def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, None]:
+    """The checkpoint's network and, in place of its classifier, None.
+
+    Only the network's own tensors are read: evaluation never uses the
+    classifier, so a checkpoint without `classifier.weight` loads the same.
+    """
     teacher = ckpt.meta.get("role") == "teacher"
     channels = cfg.arch.teacher_channels if teacher else cfg.arch.student_channels
     net = StagedNetwork(cfg.arch, channels, substream(0, "rebuild"))
-    weight = ckpt.tensors.get("classifier.weight")
-    cls_meta = ckpt.meta.get("classifier", {})
-    head = ClassifierHead(
-        cfg.data.num_train_classes if weight is None else weight.shape[0],
-        cfg.arch.embedding_dim,
-        cls_meta.get("mode", cfg.classifier.mode),
-        cls_meta.get("scale", cfg.classifier.scale),
-        substream(0, "rebuild"),
-    )
-    restore(state_arrays(net, head), ckpt.tensors)
-    return net, head
+    restore(state_arrays(net), ckpt.tensors)
+    return net, None
 
 
 def load_network(cfg: RunConfig, path: str | Path, role: str | None = None) -> StagedNetwork:
@@ -332,7 +328,11 @@ def load_network(cfg: RunConfig, path: str | Path, role: str | None = None) -> S
 
 
 def evaluate_network(net: StagedNetwork, dataset, vprot, iprot) -> dict:
-    embeddings = extract_embeddings(net, dataset.images)
+    """Both open-set metrics; only the samples the protocols score are embedded."""
+    scored = np.unique(
+        np.concatenate([vprot.index_a, vprot.index_b, iprot.gallery_indices, iprot.probe_indices])
+    )
+    embeddings = extract_embeddings(net, dataset.images, scored)
     acc, threshold = verification_accuracy(embeddings, vprot)
     rank1 = rank1_identification(embeddings, iprot)
     return {

@@ -151,6 +151,31 @@ class TestCheckpointTensors:
         assert "Traceback" not in err
 
 
+class TestEvaluateReadsOnlyTheNetwork:
+    def test_non_finite_embeddings_exit_4_without_output(self, tmp_path, capsys, toy_teacher):
+        ckpt = load_checkpoint(toy_teacher)
+        weight = ckpt.tensors["net.head.weight"].copy()
+        weight[0, 0] = np.nan
+        ckpt.tensors["net.head.weight"] = weight
+        bad = save_checkpoint(tmp_path / "nan.ckpt", ckpt)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("evaluate", *toy_args(out), "--checkpoint", str(bad)) == 4
+        err = capsys.readouterr().err
+        assert "non-finite embeddings" in err
+        assert "Traceback" not in err
+        assert not (out / "evaluation.json").exists()
+
+    def test_classifier_weight_not_needed(self, tmp_path, toy_teacher):
+        ckpt = load_checkpoint(toy_teacher)
+        del ckpt.tensors["classifier.weight"]
+        bare = save_checkpoint(tmp_path / "bare.ckpt", ckpt)
+        for name, path in (("full", toy_teacher), ("bare", bare)):
+            assert run_cli("evaluate", *toy_args(tmp_path / name), "--checkpoint", str(path)) == 0
+        full = (tmp_path / "full" / "evaluation.json").read_bytes()
+        assert (tmp_path / "bare" / "evaluation.json").read_bytes() == full
+
+
 class TestCompare:
     def test_single_seed_report_shape(self, tmp_path):
         out = tmp_path / "matrix"

@@ -251,3 +251,49 @@ class TestOnDiskFormats:
         assert np.array_equal(loaded.gallery_classes, prot.gallery_classes)
         assert np.array_equal(loaded.probe_indices, prot.probe_indices)
         assert np.array_equal(loaded.probe_classes, prot.probe_classes)
+
+    @pytest.mark.parametrize(
+        "save, build",
+        [
+            (save_dataset_cache, lambda ds, seed: ds),
+            (
+                save_verification_protocol,
+                lambda ds, seed: build_verification_protocol(ds, pairs_per_side=10, folds=2, seed=seed),
+            ),
+            (save_identification_protocol, lambda ds, seed: build_identification_protocol(ds, seed=seed)),
+        ],
+    )
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, save, build):
+        import builtins
+
+        import spherekd.checkpoint as checkpoint_mod
+
+        path = save(build(small_dataset(seed=1), 1), tmp_path / "file")
+        before = path.read_bytes()
+        written = []
+
+        class HalfWriter:
+            """A file that writes half of what it is given, then fails."""
+
+            def __init__(self, path, mode):
+                self.fh = builtins.open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                written.append(len(data) // 2)
+                raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint_mod, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save(build(small_dataset(seed=2), 2), path)
+        assert written and written[0] > 0  # the new file was partly written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]

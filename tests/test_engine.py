@@ -11,13 +11,16 @@ from spherekd.config import apply_overrides
 from spherekd.engine import (
     _precompute_teacher,
     _train_eval_stats,
+    dataset_from_config,
     evaluate_checkpoint,
+    evaluate_network,
+    protocols_from_config,
     run_experiment_matrix,
     train_student,
     train_teacher,
 )
 from spherekd.errors import ConfigError, NumericError
-from spherekd.evaluate import extract_embeddings
+from spherekd.evaluate import extract_embeddings, rank1_identification, verification_accuracy
 from spherekd.nets import (
     ArchConfig,
     ClassifierHead,
@@ -177,6 +180,35 @@ class TestEvaluateCheckpoint:
         assert m1 == m2
 
 
+class TestEvaluateNetwork:
+    def test_forwards_exactly_the_scored_rows(self, toy_config, monkeypatch):
+        dataset = dataset_from_config(toy_config)
+        vprot, iprot = protocols_from_config(toy_config, dataset)
+        net = StagedNetwork(toy_config.arch, toy_config.arch.teacher_channels, substream(0, "t"))
+        full = extract_embeddings(net, dataset.images)
+        forwarded = []
+        original = net.forward
+
+        def counting(batch, train=False):
+            forwarded.append(batch.data.copy())
+            return original(batch, train)
+
+        monkeypatch.setattr(net, "forward", counting)
+        metrics = evaluate_network(net, dataset, vprot, iprot)
+        scored = np.unique(
+            np.concatenate([vprot.index_a, vprot.index_b, iprot.gallery_indices, iprot.probe_indices])
+        )
+        assert len(scored) < dataset.num_samples  # the training samples are not scored
+        assert np.array_equal(np.concatenate(forwarded), dataset.images[scored])
+        # the same metrics as from a table of every sample
+        acc, threshold = verification_accuracy(full, vprot)
+        assert metrics == {
+            "verification_accuracy": acc,
+            "verification_threshold": threshold,
+            "rank1": rank1_identification(full, iprot),
+        }
+
+
 class TestExperimentMatrix:
     def test_one_seed_produces_four_checkpoints_and_report(self, tmp_path):
         cfg = make_toy_config(tmp_path / "matrix")
@@ -225,6 +257,24 @@ class TestExperimentMatrix:
         monkeypatch.setattr(engine_mod, "train_student", breaking)
         report = run_experiment_matrix(cfg, [0])
         assert "l2" in report["failures"]["0"]
+        assert report["rows"]["l2"]["verification_accuracy"]["mean"] is None
+        assert report["rows"]["angular"]["verification_accuracy"]["mean"] is not None
+
+    def test_non_finite_embeddings_recorded_as_cell_failure(self, tmp_path, monkeypatch):
+        import spherekd.engine as engine_mod
+
+        cfg = make_toy_config(tmp_path / "matrix")
+        original = engine_mod.load_network
+
+        def poisoned(cfg_inner, path, role=None):
+            net = original(cfg_inner, path, role)
+            if str(path).endswith("student_l2.ckpt"):
+                net.head_weight.data[0, 0] = np.nan
+            return net
+
+        monkeypatch.setattr(engine_mod, "load_network", poisoned)
+        report = run_experiment_matrix(cfg, [0])
+        assert "NumericError: non-finite embeddings" in report["failures"]["0"]["l2"]
         assert report["rows"]["l2"]["verification_accuracy"]["mean"] is None
         assert report["rows"]["angular"]["verification_accuracy"]["mean"] is not None
 

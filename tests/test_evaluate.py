@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from spherekd import evaluate
 from spherekd.data import (
     IdentificationProtocol,
     build_identification_protocol,
     build_verification_protocol,
     generate_dataset,
 )
+from spherekd.errors import NumericError
 from spherekd.evaluate import (
+    _accuracy_at,
+    _best_threshold,
+    _threshold_candidates,
     extract_embeddings,
     rank1_identification,
     verification_accuracy,
@@ -36,6 +41,12 @@ def random_unit_embeddings(n, d, seed):
     rng = np.random.default_rng(seed)
     e = rng.normal(size=(n, d))
     return e / np.linalg.norm(e, axis=1, keepdims=True)
+
+
+def quantized_embeddings(n, d, seed):
+    """Entries in {-0.5, -0.25, 0, 0.25, 0.5}: every dot product is exact in
+    any summation order, and many pairs share a similarity exactly."""
+    return np.random.default_rng(seed).integers(-2, 3, size=(n, d)) / 4.0
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -111,6 +122,25 @@ class TestVerificationAccuracy:
             assert got[0] == want[0]
             assert got[1] == want[1]
 
+    def test_matches_oracle_with_exact_ties(self):
+        ds = tiny_dataset(num_test_classes=6, samples_per_class=8)
+        for seed in range(20):
+            prot = build_verification_protocol(ds, pairs_per_side=60, folds=3, seed=seed)
+            e = quantized_embeddings(ds.num_samples, 3, seed + 200)
+            sims = np.sum(e[prot.index_a] * e[prot.index_b], axis=1)
+            assert len(np.unique(sims)) < prot.num_pairs // 4  # heavily tied
+            assert verification_accuracy(e, prot) == oracle_verification(e, prot)
+
+    def test_threshold_sweep_matches_candidate_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            sims = rng.integers(-4, 5, size=n) / 4.0  # few distinct values
+            same = rng.random(n) < rng.random()
+            candidates = _threshold_candidates(sims)
+            accs = [_accuracy_at(t, sims, same) for t in candidates]
+            assert _best_threshold(sims, same) == candidates[int(np.argmax(accs))]
+
     def test_random_embeddings_near_chance(self):
         ds = tiny_dataset(num_test_classes=6, samples_per_class=8)
         accs = []
@@ -162,6 +192,22 @@ class TestRank1Identification:
             e = random_unit_embeddings(ds.num_samples, 8, seed + 500)
             assert rank1_identification(e, prot) == oracle_rank1(e, prot)
 
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_blocks_match_oracle_with_tied_rows(self, block, monkeypatch):
+        monkeypatch.setattr(evaluate, "PROBE_BLOCK", block)
+        ds = tiny_dataset(num_test_classes=5, samples_per_class=4, num_distractors=10)
+        prot = build_identification_protocol(ds, seed=2)
+        assert block == 1000 or block < len(prot.probe_indices)
+        ties = 0
+        for seed in range(20):
+            e = quantized_embeddings(ds.num_samples, 3, seed + 700)
+            # duplicate gallery rows tie exactly with their copies
+            e[prot.gallery_indices[1::2]] = e[prot.gallery_indices[::2][: len(prot.gallery_indices) // 2]]
+            sims = e[prot.probe_indices] @ e[prot.gallery_indices].T
+            ties += int(np.sum(np.sum(sims == sims.max(axis=1, keepdims=True), axis=1) > 1))
+            assert rank1_identification(e, prot) == oracle_rank1(e, prot)
+        assert ties > 0
+
     def test_monotone_under_added_distractors(self):
         ds = tiny_dataset(num_test_classes=5, samples_per_class=4, num_distractors=12)
         prot = build_identification_protocol(ds, seed=3)
@@ -209,6 +255,28 @@ class TestExtractEmbeddings:
         t1 = extract_embeddings(net, ds.images)
         t2 = extract_embeddings(net, ds.images)
         assert np.array_equal(t1, t2)
+
+    def test_selected_rows_bitwise_and_zero_elsewhere(self):
+        net = self._net()
+        ds = tiny_dataset()
+        full = extract_embeddings(net, ds.images)
+        rows = np.array([11, 0, 5, 6, 7, 30])
+        # bitwise equality across batch compositions assumes the BLAS gives
+        # each GEMM row a result that does not depend on the other rows; seen
+        # to hold on scipy-openblas 0.3.31
+        for batch_size in (2, 64):
+            part = extract_embeddings(net, ds.images, rows, batch_size=batch_size)
+            assert part.shape == full.shape
+            assert np.array_equal(part[rows], full[rows])
+            others = np.setdiff1d(np.arange(ds.num_samples), rows)
+            assert not part[others].any()
+
+    def test_non_finite_embedding_is_numeric_error(self):
+        net = self._net()
+        ds = tiny_dataset()
+        net.head_weight.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            extract_embeddings(net, ds.images, np.array([0, 3]))
 
     def test_batch_size_independence(self):
         net = self._net()
