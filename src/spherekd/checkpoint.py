@@ -64,14 +64,17 @@ def _write_tensors(fh, tensors: dict[str, np.ndarray]) -> None:
         fh.write(arr.data)
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
+class ByteReader:
+    """Reads a blob front to back; reading past its end is a ConfigError."""
+
+    def __init__(self, blob: bytes, what: str = "checkpoint"):
         self.blob = blob
+        self.what = what
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise ConfigError("checkpoint truncated")
+            raise ConfigError(f"{self.what} truncated")
         out = self.blob[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -80,7 +83,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _unpack_tensors(reader: _Reader) -> dict[str, np.ndarray]:
+def _unpack_tensors(reader: ByteReader) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     count = reader.u32()
     for _ in range(count):
@@ -129,7 +132,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     blob = Path(path).read_bytes()
-    reader = _Reader(blob)
+    reader = ByteReader(blob)
     if reader.take(4) != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
     version = reader.u32()

@@ -142,15 +142,17 @@ def _cmd_train_teacher(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    from .engine import evaluate_checkpoint, train_student
+    from .engine import dataset_from_config, protocols_from_config, train_and_score
 
     cfg = _effective_config(args)
     if args.kind is not None:
         cfg = apply_overrides(cfg, [f"distill.kind={args.kind}"])
     out = _announce(cfg)
-    path, summary = train_student(cfg, args.teacher)
+    dataset = dataset_from_config(cfg)
+    path, _, metrics = train_and_score(
+        cfg, "student", args.teacher, dataset, *protocols_from_config(cfg, dataset)
+    )
     print(f"student checkpoint: {path}")
-    metrics = evaluate_checkpoint(cfg, path)
     print(
         f"verification accuracy {metrics['verification_accuracy']:.4f} "
         f"(threshold {metrics['verification_threshold']:.4f}), "

@@ -81,10 +81,20 @@ class RunConfig:
             raise ConfigError("train.batch_size must be >= 2 (batch norm needs it)")
         if self.train.learning_rate <= 0:
             raise ConfigError("train.learning_rate must be positive")
+        if not 0 <= self.train.momentum < 1:
+            raise ConfigError(f"train.momentum must be in [0, 1), got {self.train.momentum}")
+        if not all(0 <= f <= 1 for f in self.train.decay_at):
+            raise ConfigError(f"train.decay_at entries must lie in [0, 1]: {self.train.decay_at}")
+        if min(self.train.teacher_epochs, self.train.student_epochs) < 1:
+            raise ConfigError("train.teacher_epochs and train.student_epochs must be >= 1")
+        if self.classifier.scale <= 0:
+            raise ConfigError("classifier.scale must be positive")
         if self.data.num_train_classes < 2 or self.data.num_test_classes < 2:
             raise ConfigError("data: class counts must be >= 2")
         if self.data.samples_per_class < 2:
             raise ConfigError("data.samples_per_class must be >= 2")
+        if self.data.pairs_per_side < 1:
+            raise ConfigError("data.pairs_per_side must be >= 1")
         if self.data.folds < 2:
             raise ConfigError("data.folds must be >= 2")
         if self.data.pairs_per_side % self.data.folds != 0:

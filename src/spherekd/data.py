@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import ByteReader, atomic_open
 from .errors import ConfigError
 from .rng import substream
 
@@ -129,28 +129,16 @@ def generate_dataset(
     )
 
     n_classes = num_train_classes + num_test_classes + num_distractors
-    rng_proto = substream(seed, "data-prototypes")
-    prototypes = rng_proto.normal(size=(n_classes, latent_dim))
+    prototypes = substream(seed, "data-prototypes").normal(size=(n_classes, latent_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
 
-    rng_noise = substream(seed, "data-noise")
-    rows_latent, rows_label = [], []
-    for class_id in range(num_train_classes + num_test_classes):
-        noise = rng_noise.normal(size=(samples_per_class, latent_dim))
-        latent = prototypes[class_id] + noise_sigma * noise
-        latent /= np.linalg.norm(latent, axis=1, keepdims=True)
-        rows_latent.append(latent)
-        rows_label.append(np.full(samples_per_class, class_id, dtype=np.int64))
+    # train and test classes hold samples_per_class samples, distractors one
     first_distractor = num_train_classes + num_test_classes
-    for class_id in range(first_distractor, n_classes):
-        noise = rng_noise.normal(size=(1, latent_dim))
-        latent = prototypes[class_id] + noise_sigma * noise
-        latent /= np.linalg.norm(latent, axis=1, keepdims=True)
-        rows_latent.append(latent)
-        rows_label.append(np.array([class_id], dtype=np.int64))
-
-    latents = np.concatenate(rows_latent, axis=0)
-    labels = np.concatenate(rows_label, axis=0)
+    counts = np.where(np.arange(n_classes) < first_distractor, samples_per_class, 1)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), counts)
+    noise = substream(seed, "data-noise").normal(size=(labels.shape[0], latent_dim))
+    latents = prototypes[labels] + noise_sigma * noise
+    latents /= np.linalg.norm(latents, axis=1, keepdims=True)
     images = _render(latents, w1, w2, image_size)
 
     return SyntheticIdentityDataset(
@@ -204,19 +192,16 @@ def build_verification_protocol(
         raise ConfigError("pairs_per_side must be divisible by folds")
     rng = substream(seed, "protocol-verification")
 
-    by_class = dict(
-        zip(dataset.test_classes.tolist(), dataset.indices_by_class(dataset.test_classes))
-    )
+    # every within-class pair (i < j), class by class in row-major order
     positives = []
-    for c, idx in by_class.items():
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                positives.append((idx[i], idx[j]))
+    for idx in dataset.indices_by_class(dataset.test_classes):
+        i, j = np.triu_indices(len(idx), k=1)
+        positives.append(np.stack([idx[i], idx[j]], axis=1))
+    positives = np.concatenate(positives).astype(np.int64)
     if len(positives) < pairs_per_side:
         raise ConfigError(
             f"only {len(positives)} within-class pairs available, need {pairs_per_side}"
         )
-    positives = np.array(positives, dtype=np.int64)
     order = rng.permutation(len(positives))[:pairs_per_side]
     positives = positives[order]
 
@@ -318,27 +303,17 @@ def save_dataset_cache(dataset: SyntheticIdentityDataset, path: str | Path) -> P
 
 
 def load_dataset_cache(path: str | Path) -> SyntheticIdentityDataset:
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ConfigError(f"{path}: dataset cache truncated")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4) != CACHE_MAGIC:
+    reader = ByteReader(Path(path).read_bytes(), f"{path}: dataset cache")
+    if reader.take(4) != CACHE_MAGIC:
         raise ConfigError(f"{path}: not a dataset cache (bad magic)")
-    version = struct.unpack("<I", take(4))[0]
+    version = reader.u32()
     if version != CACHE_VERSION:
         raise ConfigError(f"{path}: unsupported cache version {version}")
-    params = json.loads(take(struct.unpack("<I", take(4))[0]).decode("utf-8"))
-    shape = struct.unpack("<4I", take(16))
-    images = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-    n = struct.unpack("<I", take(4))[0]
-    labels = np.frombuffer(take(8 * n), dtype="<i8").astype(np.int64)
+    params = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    shape = struct.unpack("<4I", reader.take(16))
+    images = np.frombuffer(reader.take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+    n = reader.u32()
+    labels = np.frombuffer(reader.take(8 * n), dtype="<i8").astype(np.int64)
     n_train = params["num_train_classes"]
     n_test = params["num_test_classes"]
     first_distractor = n_train + n_test

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,19 +70,15 @@ class MetricsLogger:
 # -- dataset / protocol assembly ------------------------------------------------
 
 
+def _data_params(cfg: RunConfig) -> dict:
+    """The seed and the generation fields of `cfg.data`: the dataset's `params`."""
+    params = {"seed": cfg.seed, **asdict(cfg.data)}
+    del params["pairs_per_side"], params["folds"]  # protocol fields
+    return params
+
+
 def dataset_from_config(cfg: RunConfig) -> SyntheticIdentityDataset:
-    d = cfg.data
-    return generate_dataset(
-        seed=cfg.seed,
-        num_train_classes=d.num_train_classes,
-        num_test_classes=d.num_test_classes,
-        samples_per_class=d.samples_per_class,
-        latent_dim=d.latent_dim,
-        noise_sigma=d.noise_sigma,
-        image_size=d.image_size,
-        num_distractors=d.num_distractors,
-        renderer_hidden=d.renderer_hidden,
-    )
+    return generate_dataset(**_data_params(cfg))
 
 
 def protocols_from_config(cfg: RunConfig, dataset: SyntheticIdentityDataset):
@@ -97,12 +93,9 @@ def protocols_from_config(cfg: RunConfig, dataset: SyntheticIdentityDataset):
 
 
 def _batches(perm: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    out = []
-    for start in range(0, len(perm), batch_size):
-        chunk = perm[start : start + batch_size]
-        if len(chunk) >= 2:  # batch norm needs a batch
-            out.append(chunk)
-    return out
+    # batch norm needs a batch, so a last chunk of one sample is dropped
+    starts = range(0, len(perm) - 1, batch_size)
+    return [perm[start : start + batch_size] for start in starts]
 
 
 def _schedule_for(cfg: RunConfig, total_steps: int) -> LrSchedule:
@@ -149,21 +142,25 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     return feats_all, emb_all
 
 
-def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint | None):
+def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint | None, dataset):
     """Train one network and persist its checkpoint and metrics log.
 
     Teacher and students share this scheme. A student differs only in width
     and in the distillation terms its loss adds, which need the frozen
-    teacher and the per-stage transforms (the last transform is saved but
-    unused: the final stage compares embeddings directly).
+    teacher and the transforms of stages 1..n-1 (the final stage compares
+    embeddings directly). `dataset`, if given, must be the config's own;
+    None generates it.
     """
     cfg.validate()
     student = role == "student"
     kind = cfg.distill.kind if student else "none"
     stem = f"student_{kind}" if student else "teacher"
+    if dataset is None:
+        dataset = dataset_from_config(cfg)
+    elif dataset.params != _data_params(cfg):
+        raise ConfigError(f"dataset {dataset.params} is not the config's {_data_params(cfg)}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = dataset_from_config(cfg)
     train_idx = dataset.train_indices
     images, labels = dataset.images[train_idx], dataset.labels[train_idx]
 
@@ -184,7 +181,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
         cfg.classifier.scale,
         substream(cfg.seed, f"{role}-classifier-init"),
     )
-    transforms = stage_transforms(arch, cfg.seed) if kind != "none" else []
+    transforms = stage_transforms(arch, cfg.seed)[:-1] if kind != "none" else []
     lam = cfg.distill.resolved_lambda_n() if student else 0.0
     schedule = build_lambda_schedule(lam, arch.num_stages)
     if cfg.distill.final_stage_only:
@@ -195,9 +192,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
     n_samples = len(labels)
     steps_per_epoch = len(_batches(np.arange(n_samples), cfg.train.batch_size))
     opt = SgdMomentum(
-        parameters(net, head, *transforms[:-1]),
-        _schedule_for(cfg, epochs * steps_per_epoch),
-        cfg.train.momentum,
+        parameters(*modules), _schedule_for(cfg, epochs * steps_per_epoch), cfg.train.momentum
     )
     shuffle_rng = substream(cfg.seed, f"{role}-shuffle")
     start_epoch = 0
@@ -282,9 +277,14 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
     return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
 
 
-def train_teacher(cfg: RunConfig, out_dir: str | Path | None = None, resume: Checkpoint | None = None):
+def train_teacher(
+    cfg: RunConfig,
+    out_dir: str | Path | None = None,
+    resume: Checkpoint | None = None,
+    dataset: SyntheticIdentityDataset | None = None,
+):
     """Train the wide network with classification loss only; persist checkpoint."""
-    return _train(cfg, "teacher", None, out_dir, resume)
+    return _train(cfg, "teacher", None, out_dir, resume, dataset)
 
 
 def train_student(
@@ -292,9 +292,10 @@ def train_student(
     teacher_path: str | Path | None,
     out_dir: str | Path | None = None,
     resume: Checkpoint | None = None,
+    dataset: SyntheticIdentityDataset | None = None,
 ):
     """Train the narrow network under the configured distillation objective."""
-    return _train(cfg, "student", teacher_path, out_dir, resume)
+    return _train(cfg, "student", teacher_path, out_dir, resume, dataset)
 
 
 def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, None]:
@@ -350,6 +351,19 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str | Path) -> dict:
     return evaluate_network(net, dataset, vprot, iprot)
 
 
+def train_and_score(cfg: RunConfig, role: str, teacher_path, dataset, vprot, iprot):
+    """Train one network on `dataset`, then score its checkpoint on the protocols.
+
+    Returns the checkpoint path, the training summary and the metrics.
+    """
+    if role == "teacher":
+        path, summary = train_teacher(cfg, dataset=dataset)
+    else:
+        path, summary = train_student(cfg, teacher_path, dataset=dataset)
+    net = load_network(cfg, path)
+    return path, summary, evaluate_network(net, dataset, vprot, iprot)
+
+
 # -- experiment matrix -------------------------------------------------------------
 
 
@@ -358,29 +372,23 @@ def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
     base = config_from_tree(cfg_tree)
     cfg = replace(base, seed=seed, output_dir=str(Path(base.output_dir) / f"seed{seed}"))
     dataset = dataset_from_config(cfg)
-    vprot, iprot = protocols_from_config(cfg, dataset)
+    protocols = protocols_from_config(cfg, dataset)
+    runs = [("teacher", "teacher", cfg)] + [
+        (row, "student", replace(cfg, distill=replace(cfg.distill, kind=kind)))
+        for kind, row in ROW_NAMES.items()
+    ]
     cells: dict[str, dict] = {}
-
-    try:
-        teacher_path, t_summary = train_teacher(cfg)
-        net = load_network(cfg, teacher_path)
-        cells["teacher"] = evaluate_network(net, dataset, vprot, iprot) | {
-            "train_accuracy": t_summary["train_accuracy"]
-        }
-    except Exception:
-        cells["teacher"] = {"error": traceback.format_exc(limit=5)}
-        return cells
-
-    for kind, row in ROW_NAMES.items():
+    teacher_path = None
+    for row, role, cfg_k in runs:
         try:
-            cfg_k = replace(cfg, distill=replace(cfg.distill, kind=kind))
-            student_path, s_summary = train_student(cfg_k, teacher_path)
-            net = load_network(cfg_k, student_path)
-            cells[row] = evaluate_network(net, dataset, vprot, iprot) | {
-                "train_accuracy": s_summary["train_accuracy"]
-            }
+            path, summary, metrics = train_and_score(cfg_k, role, teacher_path, dataset, *protocols)
+            cells[row] = metrics | {"train_accuracy": summary["train_accuracy"]}
         except Exception:
             cells[row] = {"error": traceback.format_exc(limit=5)}
+            if role == "teacher":
+                break  # every student needs the teacher
+        if role == "teacher":
+            teacher_path = path
     return cells
 
 

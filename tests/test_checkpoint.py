@@ -126,28 +126,35 @@ class TestFingerprint:
         assert a != b
 
 
+def resume_config(extra=()):
+    from spherekd.config import RunConfig, apply_overrides
+
+    return apply_overrides(
+        RunConfig().validate(),
+        [
+            "arch.input_size=8", "arch.num_stages=2",
+            "arch.teacher_channels=[4, 6]", "arch.student_channels=[2, 3]",
+            "arch.block_depth=1", "arch.embedding_dim=4",
+            "data.image_size=8", "data.num_train_classes=4",
+            "data.num_test_classes=2", "data.samples_per_class=4",
+            "data.num_distractors=4", "data.pairs_per_side=4", "data.folds=2",
+            "train.batch_size=4", "train.teacher_epochs=4", "train.student_epochs=4",
+            # constant lr: decay points scale with total steps, which would
+            # make a 2-epoch run differ from the first half of a 4-epoch run
+            "train.decay_at=[]",
+            *extra,
+        ],
+    )
+
+
 class TestResume:
     @pytest.mark.parametrize("kind", ["teacher", "none", "l2", "angular"])
     def test_resume_matches_straight_run(self, tmp_path, kind):
         """Training 2+2 epochs through a checkpoint equals training 4 straight."""
-        from spherekd.config import RunConfig, apply_overrides
+        from spherekd.config import apply_overrides
         from spherekd.engine import train_student, train_teacher
 
-        base = apply_overrides(
-            RunConfig().validate(),
-            [
-                "arch.input_size=8", "arch.num_stages=2",
-                "arch.teacher_channels=[4, 6]", "arch.student_channels=[2, 3]",
-                "arch.block_depth=1", "arch.embedding_dim=4",
-                "data.image_size=8", "data.num_train_classes=4",
-                "data.num_test_classes=2", "data.samples_per_class=4",
-                "data.num_distractors=4", "data.pairs_per_side=4", "data.folds=2",
-                "train.batch_size=4", "train.teacher_epochs=4", "train.student_epochs=4",
-                # constant lr: decay points scale with total steps, which would
-                # make a 2-epoch run differ from the first half of a 4-epoch run
-                "train.decay_at=[]",
-            ],
-        )
+        base = resume_config()
         if kind == "teacher":
             train = train_teacher
         else:
@@ -174,3 +181,32 @@ class TestResume:
         assert a.meta["optimizer"] == b.meta["optimizer"]
         assert a.meta["rng_state"] == b.meta["rng_state"]
         assert path_straight.read_bytes() == path_resumed.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["l2", "angular"])
+    def test_checkpoint_with_last_transform_resumes_and_evaluates(self, tmp_path, kind):
+        """Earlier student checkpoints also held the untrained last transform.
+
+        Its records are ignored: such a checkpoint resumes and evaluates
+        exactly like the same checkpoint without them.
+        """
+        from spherekd.engine import evaluate_checkpoint, train_student, train_teacher
+        from spherekd.nets import stage_transforms, state_arrays
+
+        base = resume_config([f"distill.kind={kind}"])
+        short = resume_config([f"distill.kind={kind}", "train.student_epochs=2"])
+        teacher_path, _ = train_teacher(base, out_dir=tmp_path / "teacher")
+        part_path, _ = train_student(short, teacher_path, out_dir=tmp_path / "part")
+        part = load_checkpoint(part_path)
+        last = stage_transforms(base.arch, base.seed)[-1]
+        assert not set(state_arrays(last)) & set(part.tensors)
+        earlier = Checkpoint(
+            part.fingerprint, part.tensors | state_arrays(last), part.meta, part.velocities
+        )
+        earlier_path = save_checkpoint(tmp_path / "earlier.ckpt", earlier)
+
+        assert evaluate_checkpoint(base, earlier_path) == evaluate_checkpoint(base, part_path)
+        from_earlier, _ = train_student(
+            base, teacher_path, out_dir=tmp_path / "a", resume=load_checkpoint(earlier_path)
+        )
+        from_part, _ = train_student(base, teacher_path, out_dir=tmp_path / "b", resume=part)
+        assert from_earlier.read_bytes() == from_part.read_bytes()

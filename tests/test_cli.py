@@ -48,7 +48,21 @@ class TestGenData:
         assert code == 2
         assert "image_size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["train.batch_size=abc", "arch.teacher_channels=5"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "train.batch_size=abc",
+            "arch.teacher_channels=5",
+            "data.pairs_per_side=0",
+            "train.momentum=-3",
+            "train.momentum=1",
+            "train.decay_at=[2.0]",
+            "train.decay_at=[0.5, -0.1]",
+            "classifier.scale=0",
+            "train.teacher_epochs=0",
+            "train.student_epochs=0",
+        ],
+    )
     def test_mistyped_value_exits_2_without_traceback(self, tmp_path, capsys, override):
         code = run_cli("gen-data", "--set", override, "--out", str(tmp_path))
         assert code == 2
@@ -93,6 +107,23 @@ class TestDistill:
         eval_blob = json.loads((out / "student_angular_eval.json").read_text())
         assert np.isfinite(eval_blob["verification_accuracy"])
         assert np.isfinite(eval_blob["rank1"])
+
+    def test_generates_data_once(self, tmp_path, monkeypatch):
+        import spherekd.engine as engine_mod
+
+        out = tmp_path / "run"
+        assert run_cli("train-teacher", *toy_args(out)) == 0
+        calls = []
+        original = engine_mod.generate_dataset
+        monkeypatch.setattr(
+            engine_mod, "generate_dataset", lambda **kw: calls.append(kw) or original(**kw)
+        )
+        code = run_cli(
+            "distill", *toy_args(out), "--teacher", str(out / "teacher.ckpt"), "--kind", "l2"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert (out / "student_l2_eval.json").exists()
 
     def test_missing_teacher_is_config_error(self, tmp_path, capsys):
         code = run_cli("distill", *toy_args(tmp_path / "run"), "--kind", "angular")

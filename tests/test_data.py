@@ -96,6 +96,44 @@ class TestGeneration:
             generate_dataset(0, noise_sigma=-0.1)
 
 
+def per_class_reference(seed, num_train_classes=64, num_test_classes=16, samples_per_class=20,
+                        latent_dim=16, noise_sigma=0.15, num_distractors=500):
+    """Latents and labels drawn one class at a time, then one distractor at a time."""
+    from spherekd.rng import substream
+
+    n_classes = num_train_classes + num_test_classes + num_distractors
+    prototypes = substream(seed, "data-prototypes").normal(size=(n_classes, latent_dim))
+    prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+    rng = substream(seed, "data-noise")
+    latents, labels = [], []
+    for class_id in range(n_classes):
+        n = samples_per_class if class_id < num_train_classes + num_test_classes else 1
+        latent = prototypes[class_id] + noise_sigma * rng.normal(size=(n, latent_dim))
+        latent /= np.linalg.norm(latent, axis=1, keepdims=True)
+        latents.append(latent)
+        labels.append(np.full(n, class_id, dtype=np.int64))
+    return np.concatenate(latents), np.concatenate(labels)
+
+
+class TestGeneratorMatchesPerClassLoop:
+    @pytest.mark.parametrize(
+        "kw", [{}, {"num_distractors": 0}, {"samples_per_class": 2}], ids=str
+    )
+    def test_bitwise(self, kw):
+        from spherekd.data import _render
+        from spherekd.rng import substream
+
+        ds = generate_dataset(3, **kw)
+        latents, labels = per_class_reference(3, **kw)
+        assert ds.labels.dtype == np.int64
+        assert np.array_equal(ds.labels, labels)
+        assert ds.latents.tobytes() == latents.tobytes()
+        rng = substream(3, "data-renderer")
+        w1 = rng.normal(0.0, 1.0 / np.sqrt(16), size=(16, 64))
+        w2 = rng.normal(0.0, 1.0 / np.sqrt(64), size=(64, 256))
+        assert ds.images.tobytes() == _render(latents, w1, w2, 16).tobytes()
+
+
 class TestVerificationProtocol:
     def test_pair_arithmetic(self):
         ds = generate_dataset(
@@ -199,6 +237,24 @@ class TestProtocolsMatchPerClassConstruction:
         return [np.array(v, dtype=np.int64) for v in (gallery_idx, gallery_cls, probe_idx, probe_cls)]
 
     @pytest.mark.parametrize("seed", [0, 3])
+    def test_verification_positives_bitwise(self, seed):
+        from spherekd.rng import substream
+
+        ds = small_dataset(seed, num_distractors=37)
+        prot = build_verification_protocol(ds, pairs_per_side=20, folds=4, seed=seed)
+        positives = []
+        for c in ds.test_classes:
+            idx = ds.indices_of(np.array([c]))
+            for i in range(len(idx)):
+                positives += [(idx[i], idx[j]) for j in range(i + 1, len(idx))]
+        rng = substream(seed, "protocol-verification")
+        drawn = np.array(positives, dtype=np.int64)[rng.permutation(len(positives))[:20]]
+        fold_major = drawn[np.argsort(np.arange(20) % 4, kind="stable")]
+        got = np.stack([prot.index_a[prot.same], prot.index_b[prot.same]], axis=1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, fold_major)
+
+    @pytest.mark.parametrize("seed", [0, 3])
     def test_identification_bitwise(self, seed):
         ds = small_dataset(seed, num_distractors=37)
         prot = build_identification_protocol(ds, seed=seed)
@@ -231,6 +287,12 @@ class TestOnDiskFormats:
     def test_cache_magic(self, tmp_path):
         path = save_dataset_cache(small_dataset(), tmp_path / "a.bin")
         assert path.read_bytes()[:4] == b"STND"
+
+    def test_truncated_cache_rejected(self, tmp_path):
+        path = save_dataset_cache(small_dataset(), tmp_path / "a.bin")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError, match="dataset cache truncated"):
+            load_dataset_cache(path)
 
     def test_verification_file_roundtrip(self, tmp_path):
         ds = small_dataset()

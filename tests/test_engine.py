@@ -147,11 +147,12 @@ class TestTrainStudent:
         arch = cfg.arch
         net = StagedNetwork(arch, arch.student_channels, substream(0, "s"))
         head = ClassifierHead(cfg.data.num_train_classes, arch.embedding_dim)
-        transforms = stage_transforms(arch, 0) if kind != "none" else []
+        # the final stage compares embeddings, so its transform is neither
+        # trained nor saved
+        transforms = stage_transforms(arch, 0)[:-1] if kind != "none" else []
         ckpt = load_checkpoint(student_path)
         assert list(ckpt.tensors) == list(state_arrays(net, head, *transforms))
-        # the optimizer trains every parameter but those of the last transform
-        assert list(ckpt.velocities) == list(parameters(net, head, *transforms[:-1]))
+        assert list(ckpt.velocities) == list(parameters(net, head, *transforms))
 
     def test_final_stage_only_flag(self, tmp_path):
         cfg = make_toy_config(
@@ -289,6 +290,50 @@ def fake_cells(accuracy):
         }
 
     return cells
+
+
+class TestDataBuiltOncePerCell:
+    def test_one_generation_per_compare_seed(self, tmp_path, monkeypatch):
+        import spherekd.engine as engine_mod
+
+        seeds = []
+        original = engine_mod.generate_dataset
+        monkeypatch.setattr(
+            engine_mod, "generate_dataset", lambda **kw: seeds.append(kw["seed"]) or original(**kw)
+        )
+        report = run_experiment_matrix(make_toy_config(tmp_path / "m"), [0, 1])
+        assert not report["failures"]
+        assert seeds == [0, 1]
+
+    def test_dataset_of_another_seed_rejected(self, tmp_path):
+        cfg = make_toy_config(tmp_path / "run")
+        other = dataset_from_config(apply_overrides(cfg, ["seed=1"]))
+        with pytest.raises(ConfigError, match="seed"):
+            train_teacher(cfg, dataset=other)
+        with pytest.raises(ConfigError, match="seed"):
+            train_student(cfg, None, dataset=other)
+        assert not (tmp_path / "run" / "teacher.ckpt").exists()
+
+    def test_protocol_fields_do_not_make_another_dataset(self, tmp_path):
+        cfg = make_toy_config(tmp_path / "run")
+        dataset = dataset_from_config(apply_overrides(cfg, ["data.pairs_per_side=20"]))
+        path, _ = train_teacher(cfg, dataset=dataset)
+        assert path.read_bytes() == train_teacher(cfg, out_dir=tmp_path / "own")[0].read_bytes()
+
+    def test_failed_teacher_leaves_only_its_cell(self, tmp_path, monkeypatch):
+        import spherekd.engine as engine_mod
+
+        students = []
+
+        def failing_teacher(*args, **kwargs):
+            raise RuntimeError("injected teacher failure")
+
+        monkeypatch.setattr(engine_mod, "train_teacher", failing_teacher)
+        monkeypatch.setattr(engine_mod, "train_student", lambda *a, **k: students.append(a))
+        cells = engine_mod.run_seed_cells(make_toy_config(tmp_path / "m").canonical(), 0)
+        assert list(cells) == ["teacher"]
+        assert "injected teacher failure" in cells["teacher"]["error"]
+        assert students == []
 
 
 class TestMatrixArguments:
