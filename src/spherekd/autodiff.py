@@ -284,8 +284,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return a._make(out_data, (a, b), backward)
 
@@ -440,7 +442,8 @@ def batch_norm(
             if gamma.requires_grad:
                 xhat = (x.data.reshape(-1, channels) - mean) / std
                 _accumulate(gamma, (g2 * xhat).sum(axis=0))
-            _accumulate(beta, g2.sum(axis=0))
+            if beta.requires_grad:
+                _accumulate(beta, g2.sum(axis=0))
 
         return x._make(out_data, (x, gamma, beta), backward), mean, var
 
@@ -477,7 +480,8 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(x, g * np.where(x.data > 0.0, 1.0, slope.data))
-        _accumulate(slope, _unbroadcast(g * neg, slope.data.shape))
+        if slope.requires_grad:
+            _accumulate(slope, _unbroadcast(g * neg, slope.data.shape))
 
     return x._make(out_data, (x, slope), backward)
 

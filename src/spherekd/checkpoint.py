@@ -26,7 +26,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ VERSION = 1
 
 
 def fingerprint_arch(arch: ArchConfig) -> str:
-    blob = json.dumps(arch.canonical(), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(asdict(arch), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

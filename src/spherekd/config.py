@@ -1,14 +1,17 @@
 """Run configuration: schema, defaults, YAML loading, dotted overrides.
 
 A RunConfig fully determines a run given the same build. Unknown keys are
-rejected so typos cannot silently fall back to defaults, and each value must
-have the type of its field's default, so a mistyped value is a ConfigError
-rather than a crash deep inside a run.
+rejected so typos cannot silently fall back to defaults. Each value must have
+the type of its field's default and lie in the range RANGES declares for its
+key, so a mistyped or out-of-range value is a ConfigError rather than a crash
+deep inside a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import math
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -72,31 +75,17 @@ class RunConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def validate(self) -> "RunConfig":
+        """Check every key's type and range, then the rules that tie keys together."""
+        keys = [("seed", self.seed, 0)] + [
+            (f"{name}.{f.name}", getattr(getattr(self, name), f.name), f.default)
+            for name in _SECTIONS
+            for f in fields(getattr(self, name))
+        ]
+        for name, value, default in keys:
+            allowed = RANGES.get(name)
+            if not _admits(value, default, allowed):
+                raise ConfigError(f"{name}: expected {_describe(default, allowed)}, got {value!r}")
         self.arch.validate()
-        if self.classifier.mode not in ClassifierHead.MODES:
-            raise ConfigError(f"classifier.mode: unknown value {self.classifier.mode!r}")
-        if self.distill.kind not in DISTILL_KINDS:
-            raise ConfigError(f"distill.kind: unknown value {self.distill.kind!r}")
-        if self.train.batch_size < 2:
-            raise ConfigError("train.batch_size must be >= 2 (batch norm needs it)")
-        if self.train.learning_rate <= 0:
-            raise ConfigError("train.learning_rate must be positive")
-        if not 0 <= self.train.momentum < 1:
-            raise ConfigError(f"train.momentum must be in [0, 1), got {self.train.momentum}")
-        if not all(0 <= f <= 1 for f in self.train.decay_at):
-            raise ConfigError(f"train.decay_at entries must lie in [0, 1]: {self.train.decay_at}")
-        if min(self.train.teacher_epochs, self.train.student_epochs) < 1:
-            raise ConfigError("train.teacher_epochs and train.student_epochs must be >= 1")
-        if self.classifier.scale <= 0:
-            raise ConfigError("classifier.scale must be positive")
-        if self.data.num_train_classes < 2 or self.data.num_test_classes < 2:
-            raise ConfigError("data: class counts must be >= 2")
-        if self.data.samples_per_class < 2:
-            raise ConfigError("data.samples_per_class must be >= 2")
-        if self.data.pairs_per_side < 1:
-            raise ConfigError("data.pairs_per_side must be >= 1")
-        if self.data.folds < 2:
-            raise ConfigError("data.folds must be >= 2")
         if self.data.pairs_per_side % self.data.folds != 0:
             raise ConfigError("data.pairs_per_side must be divisible by data.folds")
         if self.data.image_size != self.arch.input_size:
@@ -106,12 +95,58 @@ class RunConfig:
             )
         return self
 
-    def canonical(self) -> dict:
-        tree = asdict(self)
-        tree["arch"] = self.arch.canonical()
-        tree["train"]["decay_at"] = list(self.train.decay_at)
-        return tree
 
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from lo to hi; `ends` brackets them, "(" or ")" leaving that end out."""
+
+    lo: float
+    hi: float = math.inf
+    ends: str = "[)"
+
+    def __contains__(self, x) -> bool:
+        above = self.lo <= x if self.ends[0] == "[" else self.lo < x
+        below = x <= self.hi if self.ends[1] == "]" else x < self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+
+# The admissible values of every key but output_dir and the booleans: an
+# Interval (for a list key, the bound on each entry) or a tuple of choices.
+# A float must also be finite.
+RANGES = {
+    "seed": Interval(-math.inf, ends="()"),
+    "data.num_train_classes": Interval(2),
+    "data.num_test_classes": Interval(2),
+    "data.samples_per_class": Interval(2),
+    "data.latent_dim": Interval(2),
+    "data.noise_sigma": Interval(0),
+    "data.image_size": Interval(2),
+    "data.num_distractors": Interval(0),
+    "data.renderer_hidden": Interval(1),
+    "data.pairs_per_side": Interval(1),
+    "data.folds": Interval(2),
+    "arch.input_size": Interval(2),
+    "arch.in_channels": Interval(1, 1, "[]"),  # the renderer draws one channel
+    "arch.num_stages": Interval(1),
+    "arch.teacher_channels": Interval(1),
+    "arch.student_channels": Interval(1),
+    "arch.block_depth": Interval(1),
+    "arch.embedding_dim": Interval(1),
+    "classifier.mode": ClassifierHead.MODES,
+    "classifier.scale": Interval(0, ends="()"),
+    "train.batch_size": Interval(2),  # batch norm needs two samples
+    "train.teacher_epochs": Interval(1),
+    "train.student_epochs": Interval(1),
+    "train.learning_rate": Interval(0, ends="()"),
+    "train.momentum": Interval(0, 1),
+    "train.decay_factor": Interval(0, 1, "(]"),
+    "train.decay_at": Interval(0, 1, "[]"),
+    "distill.kind": DISTILL_KINDS,
+    "distill.lambda_n": Interval(0),
+}
 
 _SECTIONS = {
     "data": DataConfig,
@@ -120,51 +155,42 @@ _SECTIONS = {
     "train": TrainConfig,
     "distill": DistillConfig,
 }
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _same_type(value, default) -> bool:
-    """Whether `value` has the scalar type of `default`; a float also takes an int."""
+def _admits(value, default, allowed) -> bool:
+    """Whether `value` has the type of the key's `default` and lies in `allowed`."""
+    if default is None:  # the one optional key, distill.lambda_n
+        return value is None or _admits(value, 0.0, allowed)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_admits(v, default[0], allowed) for v in value)
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+        # abs() <= max is false for nan, +-inf and an int too large for a float
+        finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        return finite and value in allowed
+    return isinstance(value, type(default)) and value in allowed
 
 
-def _check_value(name: str, value, default) -> None:
-    """Raise ConfigError unless `value` fits the type of the field's `default`."""
+def _describe(default, allowed) -> str:
     if default is None:
-        # the one optional field, distill.lambda_n, is a number or null
-        if value is None or _same_type(value, 0.0):
-            return
-        raise ConfigError(f"{name}: expected a number or null, got {value!r}")
+        return f"{_describe(0.0, allowed)} or null"
     if isinstance(default, tuple):
-        element = default[0]
-        if isinstance(value, tuple) and all(_same_type(v, element) for v in value):
-            return
-        raise ConfigError(
-            f"{name}: expected a list, each {_TYPE_NAMES[type(element)]}, got {value!r}"
-        )
-    if not _same_type(value, default):
-        raise ConfigError(f"{name}: expected {_TYPE_NAMES[type(default)]}, got {value!r}")
+        return f"a list, each {_describe(default[0], allowed)}"
+    if isinstance(default, bool):
+        return "true or false"
+    if isinstance(default, str):
+        return "one of " + " | ".join(allowed)
+    kind = "a finite number" if isinstance(default, float) else "an integer"
+    return f"{kind} in {allowed}"
 
 
 def _build_section(cls, tree: dict, prefix: str):
-    defaults = {
-        f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)
-    }
-    kwargs = {}
-    for key, value in tree.items():
-        if key not in defaults:
+    names = {f.name for f in fields(cls)}
+    for key in tree:
+        if key not in names:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        if isinstance(value, dict):
-            raise ConfigError(f"{prefix}{key}: expected a scalar or list")
-        if isinstance(value, list):
-            value = tuple(value)
-        _check_value(f"{prefix}{key}", value, defaults[key])
-        kwargs[key] = value
-    return cls(**kwargs)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in tree.items()})
 
 
 def config_from_tree(tree: dict) -> RunConfig:
@@ -176,7 +202,6 @@ def config_from_tree(tree: dict) -> RunConfig:
     cfg = RunConfig()
     for key, value in tree.items():
         if key == "seed":
-            _check_value(key, value, cfg.seed)
             cfg.seed = value
         elif key == "output_dir":
             cfg.output_dir = str(value)
@@ -210,7 +235,7 @@ def _parse_override_value(raw: str):
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply dotted key=value overrides (values parsed as YAML scalars)."""
-    tree = cfg.canonical()
+    tree = asdict(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
@@ -229,4 +254,4 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Effective config as YAML with every default materialized."""
-    return yaml.safe_dump(cfg.canonical(), sort_keys=True, default_flow_style=False)
+    return yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=False)

@@ -99,17 +99,9 @@ def generate_dataset(
 
     Class ids are assigned contiguously: train classes first (so a train label
     doubles as the classifier index), then test classes, then one distractor
-    class per distractor sample.
+    class per distractor sample. The arguments are not checked here:
+    `RunConfig.validate` bounds each `data.*` key.
     """
-    if num_train_classes < 2 or num_test_classes < 2:
-        raise ConfigError("need at least 2 train and 2 test classes")
-    if samples_per_class < 2:
-        raise ConfigError("samples_per_class must be >= 2")
-    if latent_dim < 2 or image_size < 2 or renderer_hidden < 1:
-        raise ConfigError("degenerate latent/image/renderer dimensions")
-    if noise_sigma < 0 or num_distractors < 0:
-        raise ConfigError("noise_sigma and num_distractors must be >= 0")
-
     params = {
         "seed": int(seed),
         "num_train_classes": num_train_classes,
@@ -186,10 +178,6 @@ def build_verification_protocol(
     folds: int = 10,
     seed: int = 0,
 ) -> VerificationProtocol:
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
-    if pairs_per_side % folds != 0:
-        raise ConfigError("pairs_per_side must be divisible by folds")
     rng = substream(seed, "protocol-verification")
 
     # every within-class pair (i < j), class by class in row-major order

@@ -215,7 +215,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
                 "lambdas": list(schedule.weights) if kind != "none" else [],
                 "epochs": epochs,
                 "steps_per_epoch": steps_per_epoch,
-                "config": cfg.canonical(),
+                "config": asdict(cfg),
             }
         )
         feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
@@ -406,7 +406,7 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tree = cfg.canonical()
+    tree = asdict(cfg)
 
     workers = min(parallel, len(seeds))
     if workers > 1:

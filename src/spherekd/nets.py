@@ -32,8 +32,7 @@ class ArchConfig:
     embedding_dim: int = 32
 
     def validate(self) -> "ArchConfig":
-        if self.num_stages < 1:
-            raise ConfigError("num_stages must be >= 1")
+        """Check the rules that tie keys together; config.RANGES bounds each key."""
         if len(self.teacher_channels) != self.num_stages:
             raise ConfigError(
                 f"teacher_channels has {len(self.teacher_channels)} entries "
@@ -44,16 +43,10 @@ class ArchConfig:
                 f"student_channels has {len(self.student_channels)} entries "
                 f"for {self.num_stages} stages"
             )
-        if any(c < 1 for c in self.teacher_channels + self.student_channels):
-            raise ConfigError("channel counts must be positive")
-        if self.block_depth < 1:
-            raise ConfigError("block_depth must be >= 1")
         if self.input_size < 2**self.num_stages:
             raise ConfigError(
                 f"input_size {self.input_size} too small for {self.num_stages} halvings"
             )
-        if self.embedding_dim < 1 or self.in_channels < 1:
-            raise ConfigError("embedding_dim and in_channels must be positive")
         return self
 
     def stage_sizes(self) -> list[int]:
@@ -63,17 +56,6 @@ class ArchConfig:
             s = (s + 1) // 2
             sizes.append(s)
         return sizes
-
-    def canonical(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "in_channels": self.in_channels,
-            "num_stages": self.num_stages,
-            "teacher_channels": list(self.teacher_channels),
-            "student_channels": list(self.student_channels),
-            "block_depth": self.block_depth,
-            "embedding_dim": self.embedding_dim,
-        }
 
 
 class BatchNorm:

@@ -11,6 +11,52 @@ from spherekd.cli import main
 from conftest import TOY_OVERRIDES
 
 
+# Mistyped and out-of-range values: each numeric key just outside its range (seed
+# takes any integer), and nan and inf for every float key. Each must exit 2
+# naming the key.
+BAD_VALUES = [
+    "train.batch_size=abc",
+    "arch.teacher_channels=5",
+    "data.pairs_per_side=0",
+    "train.momentum=-3",
+    "train.momentum=1",
+    "train.decay_at=[2.0]",
+    "train.decay_at=[0.5, -0.1]",
+    "classifier.scale=0",
+    "train.teacher_epochs=0",
+    "train.student_epochs=0",
+    "data.num_train_classes=1",
+    "data.num_test_classes=1",
+    "data.samples_per_class=1",
+    "data.latent_dim=1",
+    "data.noise_sigma=-0.1",
+    "data.image_size=1",
+    "data.num_distractors=-1",
+    "data.renderer_hidden=0",
+    "data.folds=1",
+    "arch.input_size=1",
+    "arch.in_channels=0",
+    "arch.in_channels=2",
+    "arch.num_stages=0",
+    "arch.teacher_channels=[32, 0, 128, 256]",
+    "arch.student_channels=[8, 16, -1, 64]",
+    "arch.block_depth=0",
+    "arch.embedding_dim=0",
+    "classifier.scale=-1",
+    "train.batch_size=1",
+    "train.learning_rate=0",
+    "train.decay_factor=-2",
+    "train.decay_factor=0",
+    "train.decay_factor=1.5",
+    "distill.lambda_n=-1",
+] + [
+    f"{key}={value}"
+    for key in ("data.noise_sigma", "classifier.scale", "train.learning_rate",
+                "train.momentum", "train.decay_factor", "distill.lambda_n")
+    for value in (".nan", ".inf", "-.inf")
+] + ["train.decay_at=[.nan]", "train.decay_at=[0.5, .inf]"]
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -48,21 +94,7 @@ class TestGenData:
         assert code == 2
         assert "image_size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "override",
-        [
-            "train.batch_size=abc",
-            "arch.teacher_channels=5",
-            "data.pairs_per_side=0",
-            "train.momentum=-3",
-            "train.momentum=1",
-            "train.decay_at=[2.0]",
-            "train.decay_at=[0.5, -0.1]",
-            "classifier.scale=0",
-            "train.teacher_epochs=0",
-            "train.student_epochs=0",
-        ],
-    )
+    @pytest.mark.parametrize("override", BAD_VALUES)
     def test_mistyped_value_exits_2_without_traceback(self, tmp_path, capsys, override):
         code = run_cli("gen-data", "--set", override, "--out", str(tmp_path))
         assert code == 2
@@ -141,6 +173,18 @@ class TestEvaluate:
         assert code == 0
         blob = json.loads((out / "evaluation.json").read_text())
         assert set(blob) == {"verification_accuracy", "verification_threshold", "rank1"}
+
+    @pytest.mark.parametrize("override", BAD_VALUES)
+    def test_bad_value_exits_2_before_reading_checkpoint(self, tmp_path, capsys, override):
+        # the checkpoint does not exist: reading it would exit 3
+        code = run_cli(
+            "evaluate", "--set", override, "--out", str(tmp_path),
+            "--checkpoint", str(tmp_path / "missing.ckpt"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err
+        assert "Traceback" not in err
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = run_cli(

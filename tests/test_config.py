@@ -1,11 +1,13 @@
 """Config loading, validation, unknown-key rejection, and overrides."""
 
 import re
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import pytest
 import yaml
 
 from spherekd.config import (
+    RANGES,
     RunConfig,
     apply_overrides,
     config_from_tree,
@@ -43,7 +45,7 @@ class TestLoading:
         path = tmp_path / "config.yaml"
         path.write_text(dump_config(cfg))
         loaded = load_config(path)
-        assert loaded.canonical() == cfg.canonical()
+        assert asdict(loaded) == asdict(cfg)
 
     def test_partial_config_fills_defaults(self, tmp_path):
         path = tmp_path / "partial.yaml"
@@ -143,3 +145,44 @@ class TestCanonical:
         text1 = dump_config(cfg)
         text2 = dump_config(config_from_tree(yaml.safe_load(text1)))
         assert text1 == text2
+
+
+class TestRanges:
+    def test_every_value_key_declares_its_range(self):
+        # a key added later cannot skip its range: only booleans go without one
+        cfg = RunConfig()
+        undeclared = [
+            f"{section.name}.{f.name}"
+            for section in fields(cfg)
+            if is_dataclass(getattr(cfg, section.name))
+            for f in fields(getattr(cfg, section.name))
+            if not isinstance(f.default, bool) and f"{section.name}.{f.name}" not in RANGES
+        ]
+        assert undeclared == []
+
+    def test_boundary_values_accepted(self):
+        cfg = apply_overrides(
+            RunConfig().validate(),
+            [
+                "seed=-1",
+                "data.noise_sigma=0",
+                "data.num_distractors=0",
+                "arch.in_channels=1",
+                "train.momentum=0",
+                "train.decay_factor=1",
+                "train.decay_at=[0, 1]",
+                "distill.lambda_n=0",
+            ],
+        )
+        assert cfg.train.decay_factor == 1
+        assert cfg.distill.resolved_lambda_n() == 0.0
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("train", "decay_factor", 0.0), ("distill", "lambda_n", -1.0), ("train", "batch_size", "8")],
+    )
+    def test_replaced_config_is_checked(self, section, key, value):
+        cfg = RunConfig()
+        setattr(cfg, section, replace(getattr(cfg, section), **{key: value}))
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            cfg.validate()

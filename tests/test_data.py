@@ -87,14 +87,6 @@ class TestGeneration:
         distract = set(ds.distractor_classes.tolist())
         assert not (train & test) and not (train & distract) and not (test & distract)
 
-    def test_degenerate_params_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_dataset(0, num_train_classes=1)
-        with pytest.raises(ConfigError):
-            generate_dataset(0, samples_per_class=1)
-        with pytest.raises(ConfigError):
-            generate_dataset(0, noise_sigma=-0.1)
-
 
 def per_class_reference(seed, num_train_classes=64, num_test_classes=16, samples_per_class=20,
                         latent_dim=16, noise_sigma=0.15, num_distractors=500):

@@ -1,6 +1,7 @@
 """Training engine: determinism, logging contracts, frozen teacher, matrix."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -330,7 +331,7 @@ class TestDataBuiltOncePerCell:
 
         monkeypatch.setattr(engine_mod, "train_teacher", failing_teacher)
         monkeypatch.setattr(engine_mod, "train_student", lambda *a, **k: students.append(a))
-        cells = engine_mod.run_seed_cells(make_toy_config(tmp_path / "m").canonical(), 0)
+        cells = engine_mod.run_seed_cells(asdict(make_toy_config(tmp_path / "m")), 0)
         assert list(cells) == ["teacher"]
         assert "injected teacher failure" in cells["teacher"]["error"]
         assert students == []
