@@ -12,6 +12,7 @@ import json
 import math
 import traceback
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from .nets import (
     state_arrays,
 )
 from .optim import LrSchedule, SgdMomentum
+from .parallel import spawn_pool
 from .rng import substream
 
 # report row of each distillation kind; the teacher's row comes first
@@ -395,7 +397,8 @@ def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
 def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -> dict:
     """Teacher plus self-studied / exact-match / angular students per seed.
 
-    With `parallel` > 1 the seed cells run in at most one process per seed.
+    With `parallel` > 1 the seed cells run in at most one spawned process
+    per seed, each with its share of the BLAS threads.
     """
     cfg.validate()
     if not seeds:
@@ -410,11 +413,8 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
 
     workers = min(parallel, len(seeds))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_seed_cells, tree, s) for s in seeds]
-            per_seed = {s: f.result() for s, f in zip(seeds, futures)}
+        with spawn_pool(workers) as imap:
+            per_seed = dict(zip(seeds, imap(partial(run_seed_cells, tree), seeds)))
     else:
         per_seed = {s: run_seed_cells(tree, s) for s in seeds}
 

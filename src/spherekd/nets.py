@@ -33,19 +33,17 @@ class ArchConfig:
 
     def validate(self) -> "ArchConfig":
         """Check the rules that tie keys together; config.RANGES bounds each key."""
-        if len(self.teacher_channels) != self.num_stages:
-            raise ConfigError(
-                f"teacher_channels has {len(self.teacher_channels)} entries "
-                f"for {self.num_stages} stages"
-            )
-        if len(self.student_channels) != self.num_stages:
-            raise ConfigError(
-                f"student_channels has {len(self.student_channels)} entries "
-                f"for {self.num_stages} stages"
-            )
+        for name in ("teacher_channels", "student_channels"):
+            channels = getattr(self, name)
+            if len(channels) != self.num_stages:
+                raise ConfigError(
+                    f"arch.{name}: expected one entry per stage (arch.num_stages = "
+                    f"{self.num_stages}), got {len(channels)} entries"
+                )
         if self.input_size < 2**self.num_stages:
             raise ConfigError(
-                f"input_size {self.input_size} too small for {self.num_stages} halvings"
+                f"arch.input_size: expected at least 2^arch.num_stages = "
+                f"{2**self.num_stages}, got {self.input_size}"
             )
         return self
 

@@ -1,7 +1,8 @@
-"""Shared fixtures: a fast toy configuration for end-to-end runs."""
+"""Shared fixtures: a fast toy configuration for end-to-end runs, and a pool for toy sizes."""
 
 import pytest
 
+import spherekd.evaluate as evaluate_mod
 from spherekd.config import RunConfig, apply_overrides
 
 TOY_OVERRIDES = [
@@ -33,3 +34,15 @@ def make_toy_config(out_dir, extra=()):
 @pytest.fixture
 def toy_config(tmp_path):
     return make_toy_config(tmp_path / "run")
+
+
+def pool_from_8_rows(monkeypatch) -> list[int]:
+    """Send extractions of 16 rows or more to a two-worker pool; returns the sizes started."""
+    monkeypatch.setattr(evaluate_mod, "ROWS_PER_WORKER", 8)
+    monkeypatch.setattr(evaluate_mod, "cpu_count", lambda: 2)
+    started = []
+    original = evaluate_mod.spawn_pool
+    monkeypatch.setattr(
+        evaluate_mod, "spawn_pool", lambda *args: started.append(args[0]) or original(*args)
+    )
+    return started

@@ -8,7 +8,7 @@ import pytest
 from spherekd.checkpoint import load_checkpoint, save_checkpoint
 from spherekd.cli import main
 
-from conftest import TOY_OVERRIDES
+from conftest import TOY_OVERRIDES, pool_from_8_rows
 
 
 # Mistyped and out-of-range values: each numeric key just outside its range (seed
@@ -93,6 +93,26 @@ class TestGenData:
         )
         assert code == 2
         assert "image_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, keys",
+        [
+            (["arch.num_stages=3"], ["arch.teacher_channels", "arch.num_stages"]),
+            (
+                ["arch.num_stages=3", "arch.teacher_channels=[32, 64, 128]"],
+                ["arch.student_channels", "arch.num_stages"],
+            ),
+            (["arch.input_size=8", "data.image_size=8"], ["arch.input_size", "arch.num_stages"]),
+            (["data.pairs_per_side=15"], ["data.pairs_per_side", "data.folds"]),
+            (["data.image_size=8"], ["data.image_size", "arch.input_size"]),
+        ],
+    )
+    def test_cross_key_error_names_every_dotted_key(self, tmp_path, capsys, overrides, keys):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli("gen-data", *sets, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("override", BAD_VALUES)
     def test_mistyped_value_exits_2_without_traceback(self, tmp_path, capsys, override):
@@ -227,19 +247,26 @@ class TestCheckpointTensors:
 
 
 class TestEvaluateReadsOnlyTheNetwork:
-    def test_non_finite_embeddings_exit_4_without_output(self, tmp_path, capsys, toy_teacher):
+    def test_non_finite_embeddings_exit_4_without_output(
+        self, tmp_path, capfd, monkeypatch, toy_teacher
+    ):
         ckpt = load_checkpoint(toy_teacher)
         weight = ckpt.tensors["net.head.weight"].copy()
         weight[0, 0] = np.nan
         ckpt.tensors["net.head.weight"] = weight
         bad = save_checkpoint(tmp_path / "nan.ckpt", ckpt)
-        out = tmp_path / "run"
-        capsys.readouterr()
-        assert run_cli("evaluate", *toy_args(out), "--checkpoint", str(bad)) == 4
-        err = capsys.readouterr().err
-        assert "non-finite embeddings" in err
-        assert "Traceback" not in err
-        assert not (out / "evaluation.json").exists()
+        pools = []
+        for path in ("sequential", "pool"):
+            if path == "pool":  # the toy's 32 scored rows in two spawned workers
+                pools = pool_from_8_rows(monkeypatch)
+            out = tmp_path / path
+            capfd.readouterr()
+            assert run_cli("evaluate", *toy_args(out), "--checkpoint", str(bad)) == 4
+            err = capfd.readouterr().err  # the workers' stderr too
+            assert pools == ([2] if path == "pool" else [])
+            assert "non-finite embeddings" in err
+            assert "Traceback" not in err
+            assert not (out / "evaluation.json").exists()
 
     def test_classifier_weight_not_needed(self, tmp_path, toy_teacher):
         ckpt = load_checkpoint(toy_teacher)

@@ -1,5 +1,8 @@
 """Verification and identification metrics against brute-force oracles."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from spherekd.data import (
     build_verification_protocol,
     generate_dataset,
 )
-from spherekd.errors import NumericError
+from spherekd.errors import DimensionError, NumericError
 from spherekd.evaluate import (
     _accuracy_at,
     _best_threshold,
@@ -21,6 +24,8 @@ from spherekd.evaluate import (
 )
 from spherekd.nets import ArchConfig, StagedNetwork
 from spherekd.rng import substream
+
+from conftest import pool_from_8_rows
 
 
 def tiny_dataset(seed=0, **kw):
@@ -284,3 +289,55 @@ class TestExtractEmbeddings:
         t1 = extract_embeddings(net, ds.images, batch_size=1)
         t32 = extract_embeddings(net, ds.images, batch_size=32)
         np.testing.assert_allclose(t1, t32, atol=1e-9)
+
+
+class TestPoolPath:
+    ARCH = TestExtractEmbeddings.ARCH
+    ROWS = np.random.default_rng(0).permutation(45)[:40]  # unsorted; 2 chunks at batch 4
+
+    def _net(self, width="teacher_channels"):
+        return StagedNetwork(self.ARCH, getattr(self.ARCH, width), substream(0, width))
+
+    @pytest.mark.parametrize("width", ["teacher_channels", "student_channels"])
+    def test_table_bitwise_equal_to_sequential(self, monkeypatch, width):
+        # assumes dgemm results do not depend on the BLAS thread count; seen
+        # to hold on scipy-openblas 0.3.31
+        net, ds = self._net(width), tiny_dataset()
+        sequential = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        started = pool_from_8_rows(monkeypatch)
+        pooled = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        assert started == [2]
+        assert pooled.tobytes() == sequential.tobytes()
+
+    def test_failures_raise_and_leave_environment_and_no_worker(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        started = pool_from_8_rows(monkeypatch)
+        net, ds = self._net(), tiny_dataset()
+        two_channels = np.concatenate([ds.images, ds.images], axis=3)
+        calls = [
+            lambda: extract_embeddings(net, ds.images, self.ROWS),
+            lambda: pytest.raises(DimensionError, extract_embeddings, net, two_channels, self.ROWS),
+        ]
+        net_nan = self._net()
+        net_nan.head_weight.data[0, 0] = np.nan
+        calls.append(
+            lambda: pytest.raises(
+                NumericError, extract_embeddings, net_nan, ds.images, self.ROWS, batch_size=4
+            )
+        )
+        for call in calls:
+            call()
+            assert dict(os.environ) == environ
+            assert multiprocessing.active_children() == []
+        assert started == [2, 2, 2]
+
+    def test_no_pool_inside_a_worker(self, monkeypatch):
+        net, ds = self._net(), tiny_dataset()
+        sequential = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        started = pool_from_8_rows(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        table = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        assert started == []
+        assert table.tobytes() == sequential.tobytes()
