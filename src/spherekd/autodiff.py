@@ -38,7 +38,8 @@ def no_grad():
     """Build no graph inside the block: every op output is a constant leaf.
 
     Values are exactly those of a recording pass; only the parents and
-    backward closures are dropped, so eval passes hold no saved arrays.
+    backward closures are dropped, so eval passes hold no saved arrays. The
+    flag is process-wide: it also holds in other threads while the block runs.
     """
     global _grad_enabled
     saved = _grad_enabled

@@ -62,10 +62,6 @@ class SyntheticIdentityDataset:
     def test_indices(self) -> np.ndarray:
         return self.indices_of(self.test_classes)
 
-    @property
-    def distractor_indices(self) -> np.ndarray:
-        return self.indices_of(self.distractor_classes)
-
 
 # Gain of the renderer's hidden layer. The squared tanh is even, so images
 # carry no linear trace of the latent code: recovering identity geometry

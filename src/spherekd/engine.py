@@ -128,14 +128,14 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     """
     if kind == "none" or teacher is None:
         return None, None
-    emb_rows, feat_rows = [], [[] for _ in range(teacher.num_stages)]
+    emb_rows, feat_rows = [], [[] for _ in range(teacher.num_stages - 1)]
     with no_grad():
         for start in range(0, images.shape[0], batch_size):
             x = Tensor(images[start : start + batch_size])
             feats, emb = teacher.forward(x, train=False)
             emb_rows.append(emb.data)
-            if kind == "l2":
-                for s, f in enumerate(feats):
+            if kind == "l2":  # composite_loss reads stages 1..n-1 only
+                for s, f in enumerate(feats[:-1]):
                     feat_rows[s].append(f.data)
     emb_all = np.concatenate(emb_rows, axis=0)
     feats_all = None

@@ -26,10 +26,6 @@ class LambdaSchedule:
 
     weights: tuple[float, ...]
 
-    @property
-    def lambda_n(self) -> float:
-        return self.weights[-1]
-
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -119,9 +115,10 @@ def composite_loss(
     stage features by squared distance; kind "angular" routes intermediate
     features through the teacher tail and compares directions. Stage n always
     compares the d-dim embeddings. `teacher_out` may carry precomputed
-    eval-mode teacher stage features and embedding for the batch; for the
-    tail comparison the teacher's own stage-i tail embedding is its final
-    embedding, so the cached value is reused unchanged.
+    eval-mode teacher features of stages 1..n-1 (the ones read) and the
+    embedding for the batch; for the tail comparison the teacher's own
+    stage-i tail embedding is its final embedding, so the cached value is
+    reused unchanged.
 
     Returns the total loss tensor and the unweighted value of every term.
     """

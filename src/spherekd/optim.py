@@ -35,10 +35,6 @@ class SgdMomentum:
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.step_count = 0
 
-    @property
-    def lr(self) -> float:
-        return self.schedule.at(self.step_count)
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None

@@ -1,16 +1,19 @@
-"""Worker processes that each start with their share of the BLAS threads.
+"""CPUs, the BLAS thread count, and worker processes that each get their share.
 
-OpenBLAS reads its thread count once, when numpy loads, and its idle threads
-spin: workers that each inherit one thread per CPU take the cores from one
-another. So workers are spawned, not forked, with the thread count set in the
-environment they start from. `multiprocessing` is imported only when a pool
-is asked for.
+OpenBLAS's idle threads spin, so processes or threads that each drive a full
+set of BLAS threads take the cores from one another. `spawn_pool` starts
+processes with their share set in the environment they start from (OpenBLAS
+reads it once, when numpy loads); `hold_blas_threads(1)` holds the OpenBLAS
+that numpy loaded at one thread while Python threads of this process share
+the CPUs. `multiprocessing` is imported only when a pool is asked for.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from contextlib import contextmanager
+from functools import cache
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -20,42 +23,65 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def in_worker() -> bool:
-    """True inside a worker process, which starts no pool of its own."""
-    import multiprocessing
+@cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded.
 
-    return multiprocessing.parent_process() is not None
+    Where none is found, the count reads 1 and setting it does nothing.
+    """
+    import numpy  # noqa: F401  (loads the BLAS whose file /proc/self/maps then lists)
+
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return (lambda: 1), (lambda threads: None)
 
 
-def _initialize(setup) -> None:
-    initializer, initargs = setup.get()
-    if initializer is not None:
-        initializer(*initargs)
+def blas_threads() -> int:
+    """Threads of the OpenBLAS numpy loaded; 1 where it cannot be found."""
+    return _openblas()[0]()
 
 
 @contextmanager
-def spawn_pool(workers: int, initializer=None, initargs=()):
+def hold_blas_threads(threads: int):
+    """Hold OpenBLAS at `threads` inside the block; the old count comes back after."""
+    get, put = _openblas()
+    saved = get()
+    put(threads)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
+@contextmanager
+def spawn_pool(workers: int):
     """Spawn `workers` processes with max(1, cpus // workers) BLAS threads each; yield `imap`.
 
     `imap(fn, items)` yields `fn(item)` for each item, in order, computed in
     the workers; it raises RuntimeError when a worker process dies, where a
     bare pool would wait forever for the task that died with it. The thread
-    variables are set in `os.environ` only while the workers start.
-    `initializer(*initargs)` runs once in each worker; its arguments go
-    through a queue that the worker reads once it has started, so that a
-    large argument does not hold up the start of the next worker. On leaving
-    the block, normally or by an exception, the workers are stopped and
-    joined.
+    variables are set in `os.environ` only while the workers start. On
+    leaving the block, normally or by an exception, the workers are stopped
+    and joined.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("spawn")
-    setup = context.SimpleQueue()
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     others = set(multiprocessing.active_children())
     try:
         os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(max(1, cpu_count() // workers))))
-        pool = context.Pool(workers, _initialize, (setup,))
+        pool = context.Pool(workers)
     finally:
         for name, value in saved.items():
             if value is None:
@@ -81,10 +107,7 @@ def spawn_pool(workers: int, initializer=None, initargs=()):
             yield result
 
     try:
-        for _ in range(workers):
-            setup.put((initializer, initargs))
         yield imap
     finally:
         pool.terminate()
         pool.join()
-        setup.close()

@@ -1,4 +1,4 @@
-"""Shared fixtures: a fast toy configuration for end-to-end runs, and a pool for toy sizes."""
+"""Shared fixtures: a fast toy configuration for end-to-end runs, and threads for toy sizes."""
 
 import pytest
 
@@ -36,13 +36,17 @@ def toy_config(tmp_path):
     return make_toy_config(tmp_path / "run")
 
 
-def pool_from_8_rows(monkeypatch) -> list[int]:
-    """Send extractions of 16 rows or more to a two-worker pool; returns the sizes started."""
+def threads_from_8_rows(monkeypatch) -> list[int]:
+    """Embed extractions of 16 rows or more on two threads, whatever the machine.
+
+    Returns the thread counts of the pools started.
+    """
     monkeypatch.setattr(evaluate_mod, "ROWS_PER_WORKER", 8)
     monkeypatch.setattr(evaluate_mod, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluate_mod, "blas_threads", lambda: 2)
     started = []
-    original = evaluate_mod.spawn_pool
+    original = evaluate_mod.ThreadPoolExecutor
     monkeypatch.setattr(
-        evaluate_mod, "spawn_pool", lambda *args: started.append(args[0]) or original(*args)
+        evaluate_mod, "ThreadPoolExecutor", lambda threads: started.append(threads) or original(threads)
     )
     return started

@@ -8,7 +8,7 @@ import pytest
 from spherekd.checkpoint import load_checkpoint, save_checkpoint
 from spherekd.cli import main
 
-from conftest import TOY_OVERRIDES, pool_from_8_rows
+from conftest import TOY_OVERRIDES, threads_from_8_rows
 
 
 # Mistyped and out-of-range values: each numeric key just outside its range (seed
@@ -256,14 +256,14 @@ class TestEvaluateReadsOnlyTheNetwork:
         ckpt.tensors["net.head.weight"] = weight
         bad = save_checkpoint(tmp_path / "nan.ckpt", ckpt)
         pools = []
-        for path in ("sequential", "pool"):
-            if path == "pool":  # the toy's 32 scored rows in two spawned workers
-                pools = pool_from_8_rows(monkeypatch)
+        for path in ("sequential", "threads"):
+            if path == "threads":  # the toy's 32 scored rows on two threads
+                pools = threads_from_8_rows(monkeypatch)
             out = tmp_path / path
             capfd.readouterr()
             assert run_cli("evaluate", *toy_args(out), "--checkpoint", str(bad)) == 4
-            err = capfd.readouterr().err  # the workers' stderr too
-            assert pools == ([2] if path == "pool" else [])
+            err = capfd.readouterr().err
+            assert pools == ([2] if path == "threads" else [])
             assert "non-finite embeddings" in err
             assert "Traceback" not in err
             assert not (out / "evaluation.json").exists()

@@ -1,12 +1,17 @@
 """Verification and identification metrics against brute-force oracles."""
 
-import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spherekd import evaluate
+from spherekd import evaluate, parallel
+from spherekd.autodiff import Tensor
 from spherekd.data import (
     IdentificationProtocol,
     build_identification_protocol,
@@ -25,7 +30,7 @@ from spherekd.evaluate import (
 from spherekd.nets import ArchConfig, StagedNetwork
 from spherekd.rng import substream
 
-from conftest import pool_from_8_rows
+from conftest import threads_from_8_rows
 
 
 def tiny_dataset(seed=0, **kw):
@@ -179,7 +184,7 @@ class TestRank1Identification:
         axis = {int(c): i for i, c in enumerate(sorted(ds.test_classes.tolist()))}
         for i in ds.test_indices:
             e[i, axis[int(ds.labels[i])]] = 1.0
-        for k, i in enumerate(ds.distractor_indices):
+        for k, i in enumerate(ds.indices_of(ds.distractor_classes)):
             e[i, 4 + k] = 1.0
         assert rank1_identification(e, prot) == 1.0
 
@@ -292,8 +297,10 @@ class TestExtractEmbeddings:
 
 
 class TestPoolPath:
+    """Large extractions embedded on a pool of threads of the calling process."""
+
     ARCH = TestExtractEmbeddings.ARCH
-    ROWS = np.random.default_rng(0).permutation(45)[:40]  # unsorted; 2 chunks at batch 4
+    ROWS = np.random.default_rng(0).permutation(45)[:40]  # unsorted; 20 rows per thread
 
     def _net(self, width="teacher_channels"):
         return StagedNetwork(self.ARCH, getattr(self.ARCH, width), substream(0, width))
@@ -304,16 +311,21 @@ class TestPoolPath:
         # to hold on scipy-openblas 0.3.31
         net, ds = self._net(width), tiny_dataset()
         sequential = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
-        started = pool_from_8_rows(monkeypatch)
-        pooled = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        started = threads_from_8_rows(monkeypatch)
+        blas_seen = []
+        embed = evaluate._embed
+        monkeypatch.setattr(
+            evaluate, "_embed", lambda *args: blas_seen.append(parallel.blas_threads()) or embed(*args)
+        )
+        threaded = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
         assert started == [2]
-        assert pooled.tobytes() == sequential.tobytes()
+        assert blas_seen == [1, 1]
+        assert threaded.tobytes() == sequential.tobytes()
 
-    def test_failures_raise_and_leave_environment_and_no_worker(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        environ = dict(os.environ)
-        started = pool_from_8_rows(monkeypatch)
+    @parallel.hold_blas_threads(2)  # so that a count left at one shows
+    def test_failures_raise_and_restore_blas_threads_and_grad(self, monkeypatch):
+        prior = parallel.blas_threads()
+        started = threads_from_8_rows(monkeypatch)
         net, ds = self._net(), tiny_dataset()
         two_channels = np.concatenate([ds.images, ds.images], axis=3)
         calls = [
@@ -329,15 +341,41 @@ class TestPoolPath:
         )
         for call in calls:
             call()
-            assert dict(os.environ) == environ
-            assert multiprocessing.active_children() == []
+            assert parallel.blas_threads() == prior
+            assert net.forward(Tensor(ds.images[:2]), train=False)[1].requires_grad
         assert started == [2, 2, 2]
 
-    def test_no_pool_inside_a_worker(self, monkeypatch):
+    def test_no_thread_at_one_blas_thread(self, monkeypatch):
         net, ds = self._net(), tiny_dataset()
         sequential = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
-        started = pool_from_8_rows(monkeypatch)
-        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        started = threads_from_8_rows(monkeypatch)
+        monkeypatch.setattr(evaluate, "blas_threads", lambda: 1)
         table = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
         assert started == []
         assert table.tobytes() == sequential.tobytes()
+
+    def test_script_without_main_guard_runs_once(self, tmp_path):
+        # a spawned worker would import the script again and run its body once more
+        log = tmp_path / "runs.txt"
+        script = tmp_path / "no_guard.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""\
+                import numpy as np
+                from spherekd import evaluate
+                from spherekd.nets import ArchConfig, StagedNetwork
+                from spherekd.rng import substream
+
+                with open({str(log)!r}, "a") as fh:
+                    fh.write("ran\\n")
+                evaluate.ROWS_PER_WORKER = 8
+                evaluate.cpu_count = evaluate.blas_threads = lambda: 2
+                arch = ArchConfig(**{asdict(self.ARCH)!r})
+                net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
+                evaluate.extract_embeddings(net, np.zeros((32, 8, 8, 1)))
+                """
+            )
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(evaluate.__file__).parents[1]))
+        subprocess.run([sys.executable, str(script)], env=env, check=True, timeout=120)
+        assert log.read_text() == "ran\n"

@@ -275,6 +275,21 @@ class TestCompositeLoss:
             )
             assert abs(total.item() - recombined) <= 1e-12
 
+    def test_precomputed_teacher_gives_the_live_loss(self):
+        from spherekd.engine import _precompute_teacher
+
+        teacher, student, transforms, head, x, labels = self._setup(seed=10)
+        sched = build_lambda_schedule(1.0, 2)
+        for kind in ("l2", "angular"):
+            feats, emb = _precompute_teacher(teacher, x.data, kind)
+            if kind == "l2":
+                assert len(feats) == ARCH.num_stages - 1  # stages 1..n-1, the ones read
+                feats = [Tensor(f) for f in feats]
+            args = (x, labels, teacher, student, transforms, head, kind, sched)
+            live, _ = composite_loss(*args, train=False)
+            cached, _ = composite_loss(*args, train=False, teacher_out=(feats, Tensor(emb)))
+            assert cached.item() == live.item()
+
     def test_channel_matched_copy_has_zero_distill_parts(self):
         # student widths equal teacher widths, weights copied, transforms identity
         arch_eq = ArchConfig(

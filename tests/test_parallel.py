@@ -12,7 +12,7 @@ from spherekd.parallel import BLAS_THREAD_VARS, spawn_pool
 
 
 def blas_environment(_):
-    return {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    return {name: os.environ.get(name) for name in BLAS_THREAD_VARS}, parallel.blas_threads()
 
 
 @pytest.mark.parametrize("cpus, threads", [(4, "2"), (1, "1")])
@@ -23,7 +23,9 @@ def test_each_worker_starts_with_its_share_of_blas_threads(monkeypatch, cpus, th
     environ = dict(os.environ)
     with spawn_pool(2) as imap:
         seen = list(imap(blas_environment, range(2)))
-    assert seen == [dict.fromkeys(BLAS_THREAD_VARS, threads)] * 2
+    assert [variables for variables, _ in seen] == [dict.fromkeys(BLAS_THREAD_VARS, threads)] * 2
+    # the BLAS the worker loaded runs no more threads than its share
+    assert all(1 <= running <= int(threads) for _, running in seen)
     assert dict(os.environ) == environ
     assert multiprocessing.active_children() == []
 
