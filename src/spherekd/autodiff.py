@@ -296,7 +296,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolutions ------------------------------------------------------------
 
 
-def conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d_1x1(x: Tensor, weight: Tensor) -> Tensor:
     """Per-position channel mixing: x [..., h, w, c_in] @ weight [c_in, c_out].
 
     Spatial dimensions pass through unchanged; works on batched or single maps.
@@ -309,22 +309,12 @@ def conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"1x1 conv channel mismatch: input {x.shape} vs weight {weight.shape}"
         )
     c_in, c_out = weight.shape
-    out_data = np.matmul(x.data, weight.data)
-    parents = [x, weight]
-    if bias is not None:
-        bias = Tensor._lift(bias)
-        if bias.shape != (c_out,):
-            raise DimensionError(f"1x1 conv bias must be [{c_out}], got {bias.shape}")
-        out_data = out_data + bias.data
-        parents.append(bias)
 
     def backward(g):
         _accumulate(x, np.matmul(g, weight.data.T))
         _accumulate(weight, x.data.reshape(-1, c_in).T @ g.reshape(-1, c_out))
-        if bias is not None:
-            _accumulate(bias, g.reshape(-1, c_out).sum(axis=0))
 
-    return x._make(out_data, tuple(parents), backward)
+    return x._make(np.matmul(x.data, weight.data), (x, weight), backward)
 
 
 def _live_taps(size: int, size_out: int) -> slice:

@@ -3,14 +3,18 @@
 Layout (all integers little-endian):
 
     magic            4 bytes  b"STNT"
-    version          u32
+    version          u32, 2
     fingerprint_len  u32, then that many bytes (hex sha-256 of the canonical
                      architecture config)
     n_tensors        u32, then per tensor:
         name_len u32, name utf-8, rank u32, dims u32 * rank, raw f64 data
-    meta_len         u32, then canonical JSON utf-8 holding role, epoch,
-                     optimizer scalars, and RNG state
-    n_velocities     u32, then velocity tensors in the same record format
+    meta_len         u32, then a canonical JSON object, utf-8: role, epoch,
+                     final training loss and accuracy, classifier settings,
+                     and a student's distillation kind
+
+The meta ends the file. Version 1 files, which still load, add one more
+section in the tensor record format: SGD velocities, which loading discards.
+Loading raises ConfigError for any file that does not follow this layout.
 
 A checkpoint round-trips bitwise: save(load(save(x))) writes identical bytes.
 Records are streamed to a temporary file beside the target, which then
@@ -23,10 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +40,7 @@ from .errors import ConfigError
 from .nets import ArchConfig
 
 MAGIC = b"STNT"
-VERSION = 1
+VERSION = 2
 
 
 def fingerprint_arch(arch: ArchConfig) -> str:
@@ -48,8 +53,6 @@ class Checkpoint:
     fingerprint: str
     tensors: dict[str, np.ndarray]
     meta: dict
-    velocities: dict[str, np.ndarray] = field(default_factory=dict)
-    version: int = VERSION
 
 
 def _write_tensors(fh, tensors: dict[str, np.ndarray]) -> None:
@@ -90,7 +93,7 @@ def _unpack_tensors(reader: ByteReader) -> dict[str, np.ndarray]:
         name = reader.take(reader.u32()).decode("utf-8")
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank)) if rank else ()
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)  # a Python int: corrupt dims cannot overflow it
         data = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(dims)
         tensors[name] = data.astype(np.float64)
     return tensors
@@ -120,29 +123,35 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
     fp = ckpt.fingerprint.encode("ascii")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
+        fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(fp)))
         fh.write(fp)
         _write_tensors(fh, ckpt.tensors)
         fh.write(struct.pack("<I", len(meta_blob)))
         fh.write(meta_blob)
-        _write_tensors(fh, ckpt.velocities)
     return Path(path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    reader = ByteReader(blob)
+    reader = ByteReader(Path(path).read_bytes(), f"{path}: checkpoint")
     if reader.take(4) != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
     version = reader.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    fingerprint = reader.take(reader.u32()).decode("ascii")
-    tensors = _unpack_tensors(reader)
-    meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
-    velocities = _unpack_tensors(reader)
-    return Checkpoint(fingerprint, tensors, meta, velocities, version)
+    try:
+        fingerprint = reader.take(reader.u32()).decode("ascii")
+        tensors = _unpack_tensors(reader)
+        meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: corrupt checkpoint: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: corrupt checkpoint: meta is not a JSON object")
+    if version == 1:
+        _unpack_tensors(reader)  # the SGD velocities
+    if reader.pos != len(reader.blob):
+        raise ConfigError(f"{path}: corrupt checkpoint: bytes after the last record")
+    return Checkpoint(fingerprint, tensors, meta)
 
 
 def restore(targets: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:

@@ -2,7 +2,7 @@
 
 A run is fully determined by its RunConfig. All randomness flows through named
 substreams of the master seed, metrics logs carry no timestamps, and
-checkpoints serialize every tensor plus optimizer and RNG state, so identical
+checkpoints hold only the trained tensors and a short meta, so identical
 configs reproduce identical bytes.
 """
 
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng as rngmod
 from .autodiff import Tensor, check_finite, no_grad, softmax_cross_entropy
 from .checkpoint import (
     Checkpoint,
@@ -36,7 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, NumericError
 from .evaluate import extract_embeddings, rank1_identification, verification_accuracy
-from .losses import DISTILL_KINDS, LambdaSchedule, build_lambda_schedule, composite_loss
+from .losses import DISTILL_KINDS, build_lambda_schedule, composite_loss
 from .nets import (
     ClassifierHead,
     StagedNetwork,
@@ -144,7 +143,7 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     return feats_all, emb_all
 
 
-def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint | None, dataset):
+def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
     """Train one network and persist its checkpoint and metrics log.
 
     Teacher and students share this scheme. A student differs only in width
@@ -185,9 +184,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
     )
     transforms = stage_transforms(arch, cfg.seed)[:-1] if kind != "none" else []
     lam = cfg.distill.resolved_lambda_n() if student else 0.0
-    schedule = build_lambda_schedule(lam, arch.num_stages)
+    lambdas = build_lambda_schedule(lam, arch.num_stages)
     if cfg.distill.final_stage_only:
-        schedule = LambdaSchedule((0.0,) * (arch.num_stages - 1) + (lam,))
+        lambdas = (0.0,) * (arch.num_stages - 1) + (lam,)
 
     modules = [net, head, *transforms]
     epochs = cfg.train.student_epochs if student else cfg.train.teacher_epochs
@@ -197,15 +196,6 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
         parameters(*modules), _schedule_for(cfg, epochs * steps_per_epoch), cfg.train.momentum
     )
     shuffle_rng = substream(cfg.seed, f"{role}-shuffle")
-    start_epoch = 0
-    if resume is not None:
-        restore(state_arrays(*modules), resume.tensors)
-        restore(opt.velocity, resume.velocities)
-        # the step position comes from the checkpoint; the lr schedule and
-        # momentum always come from the current config
-        opt.step_count = resume.meta["optimizer"]["step_count"]
-        shuffle_rng = rngmod.restore_generator(resume.meta["rng_state"])
-        start_epoch = resume.meta["epoch"]
 
     logger = MetricsLogger(out / f"{stem}_metrics.jsonl")
     try:
@@ -214,15 +204,15 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
                 "type": "meta",
                 "role": role,
                 "kind": kind,
-                "lambdas": list(schedule.weights) if kind != "none" else [],
+                "lambdas": list(lambdas) if kind != "none" else [],
                 "epochs": epochs,
                 "steps_per_epoch": steps_per_epoch,
                 "config": asdict(cfg),
             }
         )
         feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
-        step = opt.step_count
-        for epoch in range(start_epoch, epochs):
+        step = 0
+        for epoch in range(epochs):
             perm = shuffle_rng.permutation(n_samples)
             epoch_totals = []
             for batch_no, idx in enumerate(_batches(perm, cfg.train.batch_size)):
@@ -232,7 +222,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
                     teacher_out = (feats, Tensor(emb_cache[idx]))
                 total, parts = composite_loss(
                     Tensor(images[idx]), labels[idx], teacher, net, transforms, head, kind,
-                    schedule, train=True, teacher_out=teacher_out,
+                    lambdas, train=True, teacher_out=teacher_out,
                 )
                 try:
                     check_finite(total, "loss")
@@ -266,15 +256,13 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
     meta = {
         "role": role,
         "epoch": epochs,
-        "optimizer": opt.state(),
-        "rng_state": rngmod.generator_state(shuffle_rng),
         "train_loss": train_loss,
         "train_accuracy": train_accuracy,
         "classifier": {"mode": cfg.classifier.mode, "scale": cfg.classifier.scale},
     }
     if student:
         meta["kind"] = kind
-    ckpt = Checkpoint(fingerprint_arch(arch), state_arrays(*modules), meta, opt.velocity)
+    ckpt = Checkpoint(fingerprint_arch(arch), state_arrays(*modules), meta)
     path = save_checkpoint(out / f"{stem}.ckpt", ckpt)
     return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
 
@@ -282,22 +270,20 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, resume: Checkpoint 
 def train_teacher(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
-    resume: Checkpoint | None = None,
     dataset: SyntheticIdentityDataset | None = None,
 ):
     """Train the wide network with classification loss only; persist checkpoint."""
-    return _train(cfg, "teacher", None, out_dir, resume, dataset)
+    return _train(cfg, "teacher", None, out_dir, dataset)
 
 
 def train_student(
     cfg: RunConfig,
     teacher_path: str | Path | None,
     out_dir: str | Path | None = None,
-    resume: Checkpoint | None = None,
     dataset: SyntheticIdentityDataset | None = None,
 ):
     """Train the narrow network under the configured distillation objective."""
-    return _train(cfg, "student", teacher_path, out_dir, resume, dataset)
+    return _train(cfg, "student", teacher_path, out_dir, dataset)
 
 
 def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, None]:

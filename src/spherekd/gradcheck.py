@@ -122,8 +122,7 @@ def _case_matmul(rng):
 def _case_conv1x1(rng):
     x = Tensor(rng.normal(size=(2, 4, 4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
-    return [x, w, b], lambda: (ad.conv2d_1x1(x, w, b) ** 2).mean()
+    return [x, w], lambda: (ad.conv2d_1x1(x, w) ** 2).mean()
 
 
 def _case_conv3x3_s1(rng):

@@ -10,8 +10,6 @@ loss only in the distance function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
@@ -20,18 +18,8 @@ from .nets import ClassifierHead, StagedNetwork, StudentTransform
 DISTILL_KINDS = ("none", "l2", "angular")
 
 
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Per-stage distillation weights lambda_1..lambda_n."""
-
-    weights: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-def build_lambda_schedule(lambda_n: float, n: int) -> LambdaSchedule:
-    """Geometric halving backward from the final stage: lambda_i = lambda_{i+1}/2."""
+def build_lambda_schedule(lambda_n: float, n: int) -> tuple[float, ...]:
+    """Per-stage distillation weights lambda_1..lambda_n: lambda_i = lambda_{i+1}/2."""
     if n < 1:
         raise ConfigError("schedule needs at least one stage")
     if lambda_n < 0:
@@ -39,7 +27,7 @@ def build_lambda_schedule(lambda_n: float, n: int) -> LambdaSchedule:
     weights = [float(lambda_n)]
     for _ in range(n - 1):
         weights.append(weights[-1] / 2.0)
-    return LambdaSchedule(tuple(reversed(weights)))
+    return tuple(reversed(weights))
 
 
 def angular_distill_loss(teacher_emb: Tensor, student_emb: Tensor) -> Tensor:
@@ -105,11 +93,11 @@ def composite_loss(
     transforms: list[StudentTransform],
     head: ClassifierHead,
     kind: str,
-    schedule: LambdaSchedule,
+    lambdas: tuple[float, ...],
     train: bool = True,
     teacher_out: tuple[list[Tensor], Tensor] | None = None,
 ) -> tuple[Tensor, dict[str, float]]:
-    """Classification loss plus lambda-weighted per-stage distillation terms.
+    """Classification loss plus `lambdas`-weighted per-stage distillation terms.
 
     kind "none" ignores the teacher entirely. kind "l2" compares transformed
     stage features by squared distance; kind "angular" routes intermediate
@@ -136,8 +124,8 @@ def composite_loss(
     if teacher is None:
         raise ConfigError(f"distill kind {kind!r} requires a teacher")
     n = student.num_stages
-    if len(schedule) != n:
-        raise ConfigError(f"schedule has {len(schedule)} weights for {n} stages")
+    if len(lambdas) != n:
+        raise ConfigError(f"{len(lambdas)} distillation weights for {n} stages")
     if teacher_out is None:
         feats_t, emb_t = teacher.forward(batch, train=False)
     else:
@@ -151,11 +139,11 @@ def composite_loss(
         else:
             term = l2_distill_loss(feats_t[i - 1], transforms[i - 1].forward(feats_s[i - 1], train))
         parts[f"stage_{i}"] = term.item()
-        total = total + schedule.weights[i - 1] * term
+        total = total + lambdas[i - 1] * term
     if kind == "angular":
         final = angular_distill_loss(emb_t, emb_s)
     else:
         final = l2_distill_loss(emb_t, emb_s)
     parts[f"stage_{n}"] = final.item()
-    total = total + schedule.weights[n - 1] * final
+    total = total + lambdas[n - 1] * final
     return total, parts

@@ -50,14 +50,3 @@ class SgdMomentum:
             p.data = p.data - lr * v
         self.step_count += 1
         return lr
-
-    # -- checkpoint support -------------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "base_lr": self.schedule.base_lr,
-            "decay_steps": list(self.schedule.decay_steps),
-            "factor": self.schedule.factor,
-            "momentum": self.momentum,
-            "step_count": self.step_count,
-        }

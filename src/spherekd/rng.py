@@ -19,15 +19,3 @@ def substream(master_seed: int, purpose: str) -> np.random.Generator:
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     seq = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def generator_state(gen: np.random.Generator) -> dict:
-    """JSON-serializable snapshot of a generator's position."""
-    return gen.bit_generator.state
-
-
-def restore_generator(state: dict) -> np.random.Generator:
-    """Rebuild a generator at the exact position captured by generator_state."""
-    bg = np.random.PCG64()
-    bg.state = state
-    return np.random.Generator(bg)

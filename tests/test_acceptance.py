@@ -29,8 +29,8 @@ from spherekd.losses import (
 from spherekd.nets import ArchConfig, StagedNetwork, build_reference_pair, freeze
 from spherekd.rng import substream
 
-from conftest import make_toy_config
-from test_evaluate import oracle_rank1, oracle_verification, random_unit_embeddings
+from .conftest import make_toy_config
+from .test_evaluate import oracle_rank1, oracle_verification, random_unit_embeddings
 
 
 def report(num: int, description: str, passed: bool, detail: str = "") -> None:
@@ -128,11 +128,11 @@ def test_criterion_04_angular_loss_identities():
 
 def test_criterion_05_lambda_schedule_exactness():
     angular = build_lambda_schedule(1.0, 4)
-    exact = list(angular.weights) == [0.125, 0.25, 0.5, 1.0]
+    exact = angular == (0.125, 0.25, 0.5, 1.0)
     l2 = build_lambda_schedule(0.001, 4)
     close = all(
         abs(a - b) <= 1e-15
-        for a, b in zip(l2.weights, [0.000125, 0.00025, 0.0005, 0.001])
+        for a, b in zip(l2, [0.000125, 0.00025, 0.0005, 0.001])
     )
     report(
         5,
@@ -166,7 +166,7 @@ def test_criterion_06_frozen_teacher(tmp_path):
 
 
 def _toy_overrides():
-    from conftest import TOY_OVERRIDES
+    from .conftest import TOY_OVERRIDES
 
     return TOY_OVERRIDES
 

@@ -1,8 +1,13 @@
-"""Checkpoint binary format: round-trips, fingerprints, resume equivalence."""
+"""Checkpoint binary format: round-trips, fingerprints, version-1 files."""
+
+import io
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from spherekd import checkpoint
 from spherekd.checkpoint import (
     Checkpoint,
     fingerprint_arch,
@@ -13,6 +18,8 @@ from spherekd.checkpoint import (
 from spherekd.errors import ConfigError
 from spherekd.nets import ArchConfig
 
+from .conftest import make_toy_config
+
 
 def sample_checkpoint():
     rng = np.random.default_rng(0)
@@ -21,17 +28,29 @@ def sample_checkpoint():
         "net.head.weight": rng.normal(size=(16, 8)),
         "classifier.weight": rng.normal(size=(10, 8)),
     }
-    velocities = {k: rng.normal(size=v.shape) for k, v in tensors.items()}
     meta = {
         "role": "teacher",
         "epoch": 3,
-        "optimizer": {"base_lr": 0.1, "decay_steps": [10], "factor": 0.1,
-                      "momentum": 0.9, "step_count": 12},
-        "rng_state": {"bit_generator": "PCG64",
-                      "state": {"state": 123456789, "inc": 987654321},
-                      "has_uint32": 0, "uinteger": 0},
+        "train_loss": 1.25,
+        "classifier": {"mode": "normalized", "scale": 16.0},
     }
-    return Checkpoint(fingerprint_arch(ArchConfig()), tensors, meta, velocities)
+    return Checkpoint(fingerprint_arch(ArchConfig()), tensors, meta)
+
+
+def meta_blob(meta: dict) -> bytes:
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def version_1_blob(ckpt: Checkpoint, velocities: dict[str, np.ndarray]) -> bytes:
+    """`ckpt` in the version-1 layout: the version-2 records, then the velocities."""
+    fh = io.BytesIO()
+    fp = ckpt.fingerprint.encode("ascii")
+    fh.write(b"STNT" + struct.pack("<II", 1, len(fp)) + fp)
+    checkpoint._write_tensors(fh, ckpt.tensors)
+    meta = meta_blob(ckpt.meta)
+    fh.write(struct.pack("<I", len(meta)) + meta)
+    checkpoint._write_tensors(fh, velocities)
+    return fh.getvalue()
 
 
 class TestRoundTrip:
@@ -43,8 +62,6 @@ class TestRoundTrip:
         assert loaded.meta == ckpt.meta
         for name, arr in ckpt.tensors.items():
             assert np.array_equal(loaded.tensors[name], arr)
-        for name, arr in ckpt.velocities.items():
-            assert np.array_equal(loaded.velocities[name], arr)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         ckpt = sample_checkpoint()
@@ -64,26 +81,26 @@ class TestRoundTrip:
             load_checkpoint(path)
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        from spherekd import checkpoint
-
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, sample_checkpoint())
         before = path.read_bytes()
-        original = checkpoint._write_tensors
-        calls = []
+        meta = meta_blob(sample_checkpoint().meta)
+        written = []
 
-        def fail_on_velocities(fh, tensors):
-            calls.append(len(tensors))
-            if len(calls) == 2:
-                raise OSError("disk full")
-            original(fh, tensors)
+        class FailOnMeta(io.FileIO):
+            def write(self, data):
+                if bytes(data) == meta:
+                    raise OSError("disk full")
+                written.append(super().write(data))
+                return written[-1]
 
-        monkeypatch.setattr(checkpoint, "_write_tensors", fail_on_velocities)
+        monkeypatch.setattr(checkpoint, "open", FailOnMeta, raising=False)
         for target in (path, tmp_path / "new.ckpt"):
-            calls.clear()
+            written.clear()
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(target, sample_checkpoint())
-            assert len(calls) == 2  # the tensors were written before the failure
+            # everything before the meta, the tensors included, was written
+            assert sum(written) == len(before) - len(meta)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
 
@@ -126,87 +143,58 @@ class TestFingerprint:
         assert a != b
 
 
-def resume_config(extra=()):
-    from spherekd.config import RunConfig, apply_overrides
+class TestVersion1:
+    """Version-1 files end with the SGD velocities, which loading discards."""
 
-    return apply_overrides(
-        RunConfig().validate(),
-        [
-            "arch.input_size=8", "arch.num_stages=2",
-            "arch.teacher_channels=[4, 6]", "arch.student_channels=[2, 3]",
-            "arch.block_depth=1", "arch.embedding_dim=4",
-            "data.image_size=8", "data.num_train_classes=4",
-            "data.num_test_classes=2", "data.samples_per_class=4",
-            "data.num_distractors=4", "data.pairs_per_side=4", "data.folds=2",
-            "train.batch_size=4", "train.teacher_epochs=4", "train.student_epochs=4",
-            # constant lr: decay points scale with total steps, which would
-            # make a 2-epoch run differ from the first half of a 4-epoch run
-            "train.decay_at=[]",
-            *extra,
-        ],
-    )
+    def test_loads_and_evaluates_like_version_2(self, tmp_path):
+        from spherekd.engine import evaluate_checkpoint, train_teacher
+
+        cfg = make_toy_config(tmp_path / "run")
+        path, _ = train_teacher(cfg)
+        current = load_checkpoint(path)
+        rng = np.random.default_rng(3)
+        velocities = {k: rng.normal(size=v.shape) for k, v in current.tensors.items()}
+        old_path = tmp_path / "v1.ckpt"
+        old_path.write_bytes(version_1_blob(current, velocities))
+
+        old = load_checkpoint(old_path)
+        assert old.fingerprint == current.fingerprint
+        assert old.meta == current.meta
+        assert list(old.tensors) == list(current.tensors)
+        for name, arr in current.tensors.items():
+            assert np.array_equal(old.tensors[name], arr), name
+        assert evaluate_checkpoint(cfg, old_path) == evaluate_checkpoint(cfg, path)
+        # saved again, it is written as version 2
+        assert save_checkpoint(tmp_path / "again.ckpt", old).read_bytes() == path.read_bytes()
+
+    def test_other_versions_rejected(self, tmp_path):
+        blob = bytearray(save_checkpoint(tmp_path / "a.ckpt", sample_checkpoint()).read_bytes())
+        for version in (0, 3):
+            blob[4:8] = struct.pack("<I", version)
+            (tmp_path / "a.ckpt").write_bytes(blob)
+            with pytest.raises(ConfigError, match=f"version {version}"):
+                load_checkpoint(tmp_path / "a.ckpt")
 
 
-class TestResume:
-    @pytest.mark.parametrize("kind", ["teacher", "none", "l2", "angular"])
-    def test_resume_matches_straight_run(self, tmp_path, kind):
-        """Training 2+2 epochs through a checkpoint equals training 4 straight."""
-        from spherekd.config import apply_overrides
-        from spherekd.engine import train_student, train_teacher
-
-        base = resume_config()
-        if kind == "teacher":
-            train = train_teacher
-        else:
-            base = apply_overrides(base, [f"distill.kind={kind}"])
-            teacher_path, _ = train_teacher(base, out_dir=tmp_path / "teacher")
-
-            def train(cfg, out_dir, resume=None):
-                return train_student(cfg, teacher_path, out_dir=out_dir, resume=resume)
-
-        path_straight, _ = train(base, out_dir=tmp_path / "straight")
-
-        # same config but stop at 2 epochs, then resume to 4
-        short = apply_overrides(base, ["train.teacher_epochs=2", "train.student_epochs=2"])
-        path_part, _ = train(short, out_dir=tmp_path / "part")
-        path_resumed, _ = train(
-            base, out_dir=tmp_path / "resumed", resume=load_checkpoint(path_part)
-        )
-
-        a = load_checkpoint(path_straight)
-        b = load_checkpoint(path_resumed)
-        assert list(a.tensors) == list(b.tensors)
-        for name in a.tensors:
-            assert np.array_equal(a.tensors[name], b.tensors[name]), name
-        assert a.meta["optimizer"] == b.meta["optimizer"]
-        assert a.meta["rng_state"] == b.meta["rng_state"]
-        assert path_straight.read_bytes() == path_resumed.read_bytes()
-
+class TestStudentTransforms:
     @pytest.mark.parametrize("kind", ["l2", "angular"])
-    def test_checkpoint_with_last_transform_resumes_and_evaluates(self, tmp_path, kind):
+    def test_checkpoint_with_last_transform_evaluates(self, tmp_path, kind):
         """Earlier student checkpoints also held the untrained last transform.
 
-        Its records are ignored: such a checkpoint resumes and evaluates
-        exactly like the same checkpoint without them.
+        Its records are ignored: such a checkpoint evaluates exactly like the
+        same checkpoint without them.
         """
         from spherekd.engine import evaluate_checkpoint, train_student, train_teacher
         from spherekd.nets import stage_transforms, state_arrays
 
-        base = resume_config([f"distill.kind={kind}"])
-        short = resume_config([f"distill.kind={kind}", "train.student_epochs=2"])
-        teacher_path, _ = train_teacher(base, out_dir=tmp_path / "teacher")
-        part_path, _ = train_student(short, teacher_path, out_dir=tmp_path / "part")
-        part = load_checkpoint(part_path)
-        last = stage_transforms(base.arch, base.seed)[-1]
-        assert not set(state_arrays(last)) & set(part.tensors)
+        cfg = make_toy_config(tmp_path / "run", [f"distill.kind={kind}"])
+        teacher_path, _ = train_teacher(cfg)
+        student_path, _ = train_student(cfg, teacher_path)
+        student = load_checkpoint(student_path)
+        last = stage_transforms(cfg.arch, cfg.seed)[-1]
+        assert not set(state_arrays(last)) & set(student.tensors)
         earlier = Checkpoint(
-            part.fingerprint, part.tensors | state_arrays(last), part.meta, part.velocities
+            student.fingerprint, student.tensors | state_arrays(last), student.meta
         )
         earlier_path = save_checkpoint(tmp_path / "earlier.ckpt", earlier)
-
-        assert evaluate_checkpoint(base, earlier_path) == evaluate_checkpoint(base, part_path)
-        from_earlier, _ = train_student(
-            base, teacher_path, out_dir=tmp_path / "a", resume=load_checkpoint(earlier_path)
-        )
-        from_part, _ = train_student(base, teacher_path, out_dir=tmp_path / "b", resume=part)
-        assert from_earlier.read_bytes() == from_part.read_bytes()
+        assert evaluate_checkpoint(cfg, earlier_path) == evaluate_checkpoint(cfg, student_path)

@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, file outputs, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from spherekd.checkpoint import load_checkpoint, save_checkpoint
 from spherekd.cli import main
 
-from conftest import TOY_OVERRIDES, threads_from_8_rows
+from .conftest import TOY_OVERRIDES, threads_from_8_rows
 
 
 # Mistyped and out-of-range values: each numeric key just outside its range (seed
@@ -244,6 +245,50 @@ class TestCheckpointTensors:
         err = capsys.readouterr().err
         assert "net.block2.bn1.running_var" in err
         assert "Traceback" not in err
+
+
+def _with_meta(path, meta: bytes) -> bytes:
+    """The checkpoint file at `path` with its meta, the last record, replaced."""
+    blob = path.read_bytes()
+    old = json.dumps(load_checkpoint(path).meta, sort_keys=True, separators=(",", ":"))
+    assert blob.endswith(old.encode("utf-8"))
+    return blob[: -len(old) - 4] + struct.pack("<I", len(meta)) + meta
+
+
+def _huge_first_tensor(path) -> bytes:
+    """The checkpoint at `path` with its first tensor's two leading dims at 2^32 - 1."""
+    blob = path.read_bytes()
+    (name_len,) = struct.unpack_from("<I", blob, 80)  # after the 64-byte fingerprint
+    dims = 84 + name_len + 4
+    return blob[:dims] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[dims + 8 :]
+
+
+class TestCorruptCheckpoint:
+    """A checkpoint that does not follow the file format is a config error."""
+
+    FAULTS = {
+        "meta_not_json": lambda path: _with_meta(path, b"{not json"),
+        "meta_not_utf8": lambda path: _with_meta(path, b'{"role":"\xff"}'),
+        "meta_a_list": lambda path: _with_meta(path, b"[1,2]"),
+        "fingerprint_not_ascii": lambda path: (
+            path.read_bytes()[:12] + b"\xff" + path.read_bytes()[13:]
+        ),
+        "bytes_after_the_meta": lambda path: path.read_bytes() + b"\x00",
+        "truncated": lambda path: path.read_bytes()[:-1],
+        "dims_past_the_end": _huge_first_tensor,
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_exits_2_without_traceback(self, tmp_path, capsys, toy_teacher, fault):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(self.FAULTS[fault](toy_teacher))
+        capsys.readouterr()
+        code = run_cli("evaluate", *toy_args(tmp_path / "run"), "--checkpoint", str(bad))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "evaluation.json").exists()
 
 
 class TestEvaluateReadsOnlyTheNetwork:

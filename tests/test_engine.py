@@ -34,7 +34,7 @@ from spherekd.nets import (
 )
 from spherekd.rng import substream
 
-from conftest import make_toy_config
+from .conftest import make_toy_config
 
 
 def read_records(path):
@@ -163,7 +163,6 @@ class TestTrainStudent:
         transforms = stage_transforms(arch, 0)[:-1] if kind != "none" else []
         ckpt = load_checkpoint(student_path)
         assert list(ckpt.tensors) == list(state_arrays(net, head, *transforms))
-        assert list(ckpt.velocities) == list(parameters(net, head, *transforms))
 
     def test_final_stage_only_flag(self, tmp_path):
         cfg = make_toy_config(

@@ -30,7 +30,7 @@ from spherekd.evaluate import (
 from spherekd.nets import ArchConfig, StagedNetwork
 from spherekd.rng import substream
 
-from conftest import threads_from_8_rows
+from .conftest import threads_from_8_rows
 
 
 def tiny_dataset(seed=0, **kw):

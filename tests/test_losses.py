@@ -212,16 +212,15 @@ class TestIntermediateAngularLoss:
 
 class TestLambdaSchedule:
     def test_paper_rule_angular_default(self):
-        sched = build_lambda_schedule(1.0, 4)
-        assert list(sched.weights) == [0.125, 0.25, 0.5, 1.0]
+        assert build_lambda_schedule(1.0, 4) == (0.125, 0.25, 0.5, 1.0)
 
     def test_paper_rule_l2_default(self):
         sched = build_lambda_schedule(0.001, 4)
         expected = [0.000125, 0.00025, 0.0005, 0.001]
-        assert all(abs(a - b) <= 1e-15 for a, b in zip(sched.weights, expected))
+        assert all(abs(a - b) <= 1e-15 for a, b in zip(sched, expected))
 
     def test_single_stage(self):
-        assert list(build_lambda_schedule(0.7, 1).weights) == [0.7]
+        assert build_lambda_schedule(0.7, 1) == (0.7,)
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
@@ -253,10 +252,8 @@ class TestCompositeLoss:
         assert set(parts) == {"cls"}
 
     def test_zero_lambdas_reduce_to_classification(self):
-        from spherekd.losses import LambdaSchedule
-
         teacher, student, transforms, head, x, labels = self._setup(seed=8)
-        zero = LambdaSchedule((0.0, 0.0))
+        zero = (0.0, 0.0)
         for kind in ("l2", "angular"):
             total, parts = composite_loss(
                 x, labels, teacher, student, transforms, head, kind, zero, train=False
@@ -271,7 +268,7 @@ class TestCompositeLoss:
                 x, labels, teacher, student, transforms, head, kind, sched, train=True
             )
             recombined = parts["cls"] + sum(
-                sched.weights[i - 1] * parts[f"stage_{i}"] for i in (1, 2)
+                sched[i - 1] * parts[f"stage_{i}"] for i in (1, 2)
             )
             assert abs(total.item() - recombined) <= 1e-12
 
