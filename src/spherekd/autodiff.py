@@ -82,9 +82,6 @@ class Tensor:
         """Same values, severed from the graph (no gradient flows through)."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph construction helpers ----------------------------------------
 
     @staticmethod

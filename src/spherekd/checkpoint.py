@@ -70,7 +70,7 @@ def _write_tensors(fh, tensors: dict[str, np.ndarray]) -> None:
 class ByteReader:
     """Reads a blob front to back; reading past its end is a ConfigError."""
 
-    def __init__(self, blob: bytes, what: str = "checkpoint"):
+    def __init__(self, blob: bytes, what: str):
         self.blob = blob
         self.what = what
         self.pos = 0

@@ -2,7 +2,7 @@
 
 One binary, six verbs:
 
-    gen-data       write the dataset cache and both protocol files
+    gen-data       write both protocol files
     train-teacher  train the wide network with classification loss
     distill        train a student (none | l2 | angular) against a teacher
     evaluate       score a checkpoint on the verification/identification protocols
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", type=str, default=None, help="output directory override")
 
-    p = sub.add_parser("gen-data", help="generate dataset cache and protocol files")
+    p = sub.add_parser("gen-data", help="generate the verification and identification protocol files")
     common(p)
 
     p = sub.add_parser("train-teacher", help="train the teacher network")
@@ -100,18 +100,13 @@ def _announce(cfg: RunConfig) -> Path:
 
 
 def _cmd_gen_data(args) -> int:
-    from .data import (
-        save_dataset_cache,
-        save_identification_protocol,
-        save_verification_protocol,
-    )
+    from .data import save_identification_protocol, save_verification_protocol
     from .engine import dataset_from_config, protocols_from_config
 
     cfg = _effective_config(args)
     out = _announce(cfg)
     dataset = dataset_from_config(cfg)
     vprot, iprot = protocols_from_config(cfg, dataset)
-    save_dataset_cache(dataset, out / "dataset.bin")
     save_verification_protocol(vprot, out / "verification.txt")
     save_identification_protocol(iprot, out / "identification.txt")
     print(

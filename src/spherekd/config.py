@@ -218,9 +218,9 @@ def load_config(path: str | Path | None) -> RunConfig:
     """Load YAML config from `path`, or pure defaults when path is None."""
     if path is None:
         return RunConfig().validate()
-    text = Path(path).read_text()
+    blob = Path(path).read_bytes()
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.safe_load(blob)  # bytes, so that a file not in UTF-8 is a YAMLError
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_tree(tree)

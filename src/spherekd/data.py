@@ -9,20 +9,14 @@ never the training classifier.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import ByteReader, atomic_open
+from .checkpoint import atomic_open
 from .errors import ConfigError
 from .rng import substream
-
-CACHE_MAGIC = b"STND"
-CACHE_VERSION = 1
-
 
 @dataclass
 class SyntheticIdentityDataset:
@@ -32,7 +26,7 @@ class SyntheticIdentityDataset:
     test_classes: np.ndarray
     distractor_classes: np.ndarray
     params: dict
-    latents: np.ndarray | None = None  # kept in memory for diagnostics only
+    latents: np.ndarray  # kept in memory for diagnostics only
 
     @property
     def num_samples(self) -> int:
@@ -264,56 +258,6 @@ def build_identification_protocol(
 # -- on-disk formats -----------------------------------------------------------
 
 
-def save_dataset_cache(dataset: SyntheticIdentityDataset, path: str | Path) -> Path:
-    """Binary cache: header with generation params, then images and labels."""
-    header = json.dumps(dataset.params, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    images = np.ascontiguousarray(dataset.images, dtype="<f8")
-    labels = np.ascontiguousarray(dataset.labels, dtype="<i8")
-    parts = [
-        CACHE_MAGIC,
-        struct.pack("<I", CACHE_VERSION),
-        struct.pack("<I", len(header)),
-        header,
-        struct.pack("<4I", *images.shape),
-        images.tobytes(),
-        struct.pack("<I", labels.shape[0]),
-        labels.tobytes(),
-    ]
-    path = Path(path)
-    with atomic_open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part)
-    return path
-
-
-def load_dataset_cache(path: str | Path) -> SyntheticIdentityDataset:
-    reader = ByteReader(Path(path).read_bytes(), f"{path}: dataset cache")
-    if reader.take(4) != CACHE_MAGIC:
-        raise ConfigError(f"{path}: not a dataset cache (bad magic)")
-    version = reader.u32()
-    if version != CACHE_VERSION:
-        raise ConfigError(f"{path}: unsupported cache version {version}")
-    params = json.loads(reader.take(reader.u32()).decode("utf-8"))
-    shape = struct.unpack("<4I", reader.take(16))
-    images = np.frombuffer(reader.take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-    n = reader.u32()
-    labels = np.frombuffer(reader.take(8 * n), dtype="<i8").astype(np.int64)
-    n_train = params["num_train_classes"]
-    n_test = params["num_test_classes"]
-    first_distractor = n_train + n_test
-    return SyntheticIdentityDataset(
-        images=images.astype(np.float64),
-        labels=labels,
-        train_classes=np.arange(n_train, dtype=np.int64),
-        test_classes=np.arange(n_train, first_distractor, dtype=np.int64),
-        distractor_classes=np.arange(
-            first_distractor, first_distractor + params["num_distractors"], dtype=np.int64
-        ),
-        params=params,
-        latents=None,
-    )
-
-
 def save_verification_protocol(protocol: VerificationProtocol, path: str | Path) -> Path:
     lines = [f"# verification folds={protocol.folds} pairs={protocol.num_pairs}"]
     for a, b, s in zip(protocol.index_a, protocol.index_b, protocol.same):
@@ -322,25 +266,6 @@ def save_verification_protocol(protocol: VerificationProtocol, path: str | Path)
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
     return path
-
-
-def load_verification_protocol(path: str | Path) -> VerificationProtocol:
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0]
-    if not header.startswith("# verification"):
-        raise ConfigError(f"{path}: not a verification protocol file")
-    meta = dict(kv.split("=") for kv in header.split()[2:])
-    folds = int(meta["folds"])
-    rows = np.array([[int(x) for x in line.split()] for line in lines[1:]], dtype=np.int64)
-    per_fold = len(rows) // folds
-    fold = np.repeat(np.arange(folds), per_fold)
-    return VerificationProtocol(
-        index_a=rows[:, 0],
-        index_b=rows[:, 1],
-        same=rows[:, 2].astype(bool),
-        fold=fold,
-        folds=folds,
-    )
 
 
 def save_identification_protocol(protocol: IdentificationProtocol, path: str | Path) -> Path:
@@ -357,25 +282,3 @@ def save_identification_protocol(protocol: IdentificationProtocol, path: str | P
         fh.write("\n".join(lines) + "\n")
     return path
 
-
-def load_identification_protocol(path: str | Path) -> IdentificationProtocol:
-    lines = Path(path).read_text().strip().split("\n")
-    if not lines[0].startswith("# identification"):
-        raise ConfigError(f"{path}: not an identification protocol file")
-    gal_i, gal_c, pr_i, pr_c = [], [], [], []
-    for line in lines[1:]:
-        role, idx, cls = line.split()
-        if role == "gallery":
-            gal_i.append(int(idx))
-            gal_c.append(int(cls))
-        elif role == "probe":
-            pr_i.append(int(idx))
-            pr_c.append(int(cls))
-        else:
-            raise ConfigError(f"{path}: unknown role {role!r}")
-    return IdentificationProtocol(
-        gallery_indices=np.array(gal_i, dtype=np.int64),
-        gallery_classes=np.array(gal_c, dtype=np.int64),
-        probe_indices=np.array(pr_i, dtype=np.int64),
-        probe_classes=np.array(pr_c, dtype=np.int64),
-    )

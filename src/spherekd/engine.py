@@ -45,7 +45,7 @@ from .nets import (
     state_arrays,
 )
 from .optim import LrSchedule, SgdMomentum
-from .parallel import spawn_pool
+from .parallel import process_pool
 from .rng import substream
 
 # report row of each distillation kind; the teacher's row comes first
@@ -399,8 +399,8 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
 
     workers = min(parallel, len(seeds))
     if workers > 1:
-        with spawn_pool(workers) as imap:
-            per_seed = dict(zip(seeds, imap(partial(run_seed_cells, tree), seeds)))
+        with process_pool(workers) as pool:
+            per_seed = dict(zip(seeds, pool.map(partial(run_seed_cells, tree), seeds)))
     else:
         per_seed = {s: run_seed_cells(tree, s) for s in seeds}
 

@@ -70,7 +70,6 @@ class CheckCase:
     name: str
     group: str  # "nets" or "losses"
     build: Callable[[np.random.Generator], tuple[list[Tensor], Callable[[], Tensor]]]
-    tol: float = FD_TOL
 
 
 @dataclass
@@ -348,7 +347,7 @@ def run_suite(group: str = "all", instances: int = 5, base_seed: int = 1234) -> 
             rng = np.random.default_rng(base_seed + 97 * k)
             leaves, build = case.build(rng)
             worst = max(worst, check_gradients(build, leaves))
-        results.append(CheckResult(case.name, case.group, worst, case.tol))
+        results.append(CheckResult(case.name, case.group, worst, FD_TOL))
     return results
 
 

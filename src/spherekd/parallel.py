@@ -1,11 +1,12 @@
 """CPUs, the BLAS thread count, and worker processes that each get their share.
 
 OpenBLAS's idle threads spin, so processes or threads that each drive a full
-set of BLAS threads take the cores from one another. `spawn_pool` starts
-processes with their share set in the environment they start from (OpenBLAS
-reads it once, when numpy loads); `hold_blas_threads(1)` holds the OpenBLAS
-that numpy loaded at one thread while Python threads of this process share
-the CPUs. `multiprocessing` is imported only when a pool is asked for.
+set of BLAS threads take the cores from one another. Both are given their
+share through the OpenBLAS that numpy loaded: each worker of `process_pool`
+sets its own count as it starts, and `hold_blas_threads(1)` holds this
+process's at one thread while its Python threads share the CPUs. An MKL or
+OpenMP BLAS is not reached and runs its default thread count. The process
+pool's modules are imported only when a pool is asked for.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import ctypes
 import os
 from contextlib import contextmanager
 from functools import cache
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def cpu_count() -> int:
@@ -51,63 +50,35 @@ def blas_threads() -> int:
     return _openblas()[0]()
 
 
+def set_blas_threads(threads: int) -> None:
+    """Set the threads of the OpenBLAS numpy loaded; nothing where it cannot be found."""
+    _openblas()[1](threads)
+
+
 @contextmanager
 def hold_blas_threads(threads: int):
     """Hold OpenBLAS at `threads` inside the block; the old count comes back after."""
-    get, put = _openblas()
-    saved = get()
-    put(threads)
+    saved = blas_threads()
+    set_blas_threads(threads)
     try:
         yield
     finally:
-        put(saved)
+        set_blas_threads(saved)
 
 
-@contextmanager
-def spawn_pool(workers: int):
-    """Spawn `workers` processes with max(1, cpus // workers) BLAS threads each; yield `imap`.
+def process_pool(workers: int):
+    """`workers` spawned processes, each holding OpenBLAS at max(1, cpus // workers) threads.
 
-    `imap(fn, items)` yields `fn(item)` for each item, in order, computed in
-    the workers; it raises RuntimeError when a worker process dies, where a
-    bare pool would wait forever for the task that died with it. The thread
-    variables are set in `os.environ` only while the workers start. On
-    leaving the block, normally or by an exception, the workers are stopped
-    and joined.
+    A task's exception reaches the caller when its result is read; a worker
+    that dies breaks the pool, whose waiting results then raise
+    `BrokenProcessPool` (a RuntimeError) and whose other workers are stopped.
     """
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    context = multiprocessing.get_context("spawn")
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    others = set(multiprocessing.active_children())
-    try:
-        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(max(1, cpu_count() // workers))))
-        pool = context.Pool(workers)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    started = set(multiprocessing.active_children()) - others
-
-    def imap(fn, items):
-        results = pool.imap(fn, items)
-        while True:
-            try:
-                result = results.next(timeout=0.5)
-            except StopIteration:
-                return
-            except multiprocessing.TimeoutError:
-                for process in started:
-                    if not process.is_alive():
-                        raise RuntimeError(
-                            f"worker process {process.pid} exited with code {process.exitcode}"
-                        ) from None
-                continue
-            yield result
-
-    try:
-        yield imap
-    finally:
-        pool.terminate()
-        pool.join()
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=get_context("spawn"),
+        initializer=set_blas_threads,
+        initargs=(max(1, cpu_count() // workers),),
+    )

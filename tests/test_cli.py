@@ -74,9 +74,9 @@ class TestGenData:
     def test_writes_files_and_summary(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert run_cli("gen-data", *toy_args(out)) == 0
-        for name in ("dataset.bin", "verification.txt", "identification.txt",
-                     "effective_config.yaml"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "effective_config.yaml", "identification.txt", "verification.txt"
+        ]
         text = capsys.readouterr().out
         assert "8 train / 4 test classes" in text
         assert "20 pairs" in text
@@ -85,7 +85,7 @@ class TestGenData:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli("gen-data", *toy_args(out_a)) == 0
         assert run_cli("gen-data", *toy_args(out_b)) == 0
-        for name in ("dataset.bin", "verification.txt", "identification.txt"):
+        for name in ("verification.txt", "identification.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_conflicting_config_names_key(self, tmp_path, capsys):
@@ -127,6 +127,16 @@ class TestGenData:
         code = run_cli("gen-data", "--set", "data.nclasses=4", "--out", str(tmp_path))
         assert code == 2
         assert "data.nclasses" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2_without_traceback(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_bytes(b"seed: 1\n\xff\n")
+        code = run_cli("gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDistill:

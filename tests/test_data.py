@@ -7,10 +7,6 @@ from spherekd.data import (
     build_identification_protocol,
     build_verification_protocol,
     generate_dataset,
-    load_dataset_cache,
-    load_identification_protocol,
-    load_verification_protocol,
-    save_dataset_cache,
     save_identification_protocol,
     save_verification_protocol,
 )
@@ -265,51 +261,33 @@ class TestProtocolsMatchPerClassConstruction:
 
 
 class TestOnDiskFormats:
-    def test_cache_roundtrip_and_regeneration_bitwise(self, tmp_path):
-        ds = small_dataset(seed=5)
-        p1 = save_dataset_cache(ds, tmp_path / "a.bin")
-        loaded = load_dataset_cache(p1)
-        assert np.array_equal(loaded.images, ds.images)
-        assert np.array_equal(loaded.labels, ds.labels)
-        assert loaded.params == ds.params
-        regenerated = small_dataset(seed=5)
-        p2 = save_dataset_cache(regenerated, tmp_path / "b.bin")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_cache_magic(self, tmp_path):
-        path = save_dataset_cache(small_dataset(), tmp_path / "a.bin")
-        assert path.read_bytes()[:4] == b"STND"
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        path = save_dataset_cache(small_dataset(), tmp_path / "a.bin")
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ConfigError, match="dataset cache truncated"):
-            load_dataset_cache(path)
-
     def test_verification_file_roundtrip(self, tmp_path):
         ds = small_dataset()
         prot = build_verification_protocol(ds, pairs_per_side=10, folds=2, seed=6)
         path = save_verification_protocol(prot, tmp_path / "verification.txt")
-        loaded = load_verification_protocol(path)
-        assert np.array_equal(loaded.index_a, prot.index_a)
-        assert np.array_equal(loaded.index_b, prot.index_b)
-        assert np.array_equal(loaded.same, prot.same)
-        assert np.array_equal(loaded.fold, prot.fold)
+        assert path.read_text().split("\n")[0] == f"# verification folds=2 pairs={prot.num_pairs}"
+        rows = np.loadtxt(path, dtype=np.int64, skiprows=1)
+        assert np.array_equal(rows[:, 0], prot.index_a)
+        assert np.array_equal(rows[:, 1], prot.index_b)
+        assert np.array_equal(rows[:, 2], prot.same)
 
     def test_identification_file_roundtrip(self, tmp_path):
         ds = small_dataset()
         prot = build_identification_protocol(ds, seed=7)
         path = save_identification_protocol(prot, tmp_path / "identification.txt")
-        loaded = load_identification_protocol(path)
-        assert np.array_equal(loaded.gallery_indices, prot.gallery_indices)
-        assert np.array_equal(loaded.gallery_classes, prot.gallery_classes)
-        assert np.array_equal(loaded.probe_indices, prot.probe_indices)
-        assert np.array_equal(loaded.probe_classes, prot.probe_classes)
+        header = f"# identification gallery={len(prot.gallery_indices)} probes={len(prot.probe_indices)}"
+        assert path.read_text().split("\n")[0] == header
+        rows = np.loadtxt(path, dtype=str, skiprows=1)
+        gallery, probe = rows[rows[:, 0] == "gallery"], rows[rows[:, 0] == "probe"]
+        assert len(gallery) + len(probe) == len(rows)
+        assert np.array_equal(gallery[:, 1].astype(np.int64), prot.gallery_indices)
+        assert np.array_equal(gallery[:, 2].astype(np.int64), prot.gallery_classes)
+        assert np.array_equal(probe[:, 1].astype(np.int64), prot.probe_indices)
+        assert np.array_equal(probe[:, 2].astype(np.int64), prot.probe_classes)
 
     @pytest.mark.parametrize(
         "save, build",
         [
-            (save_dataset_cache, lambda ds, seed: ds),
             (
                 save_verification_protocol,
                 lambda ds, seed: build_verification_protocol(ds, pairs_per_side=10, folds=2, seed=seed),

@@ -359,18 +359,18 @@ class TestMatrixArguments:
 
     def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch):
         import contextlib
+        from types import SimpleNamespace
 
         import spherekd.engine as engine_mod
 
         recorded = []
 
-        @contextlib.contextmanager
         def recording_pool(workers):
             """Runs each job inline; starts no process."""
             recorded.append(workers)
-            yield map
+            return contextlib.nullcontext(SimpleNamespace(map=map))
 
-        monkeypatch.setattr(engine_mod, "spawn_pool", recording_pool)
+        monkeypatch.setattr(engine_mod, "process_pool", recording_pool)
         monkeypatch.setattr(engine_mod, "run_seed_cells", fake_cells(0.5))
         run_experiment_matrix(make_toy_config(tmp_path / "a"), [0, 1], parallel=8)
         run_experiment_matrix(make_toy_config(tmp_path / "b"), [0, 1, 2], parallel=2)
