@@ -12,9 +12,11 @@ Design notes:
   * Inside `no_grad()` no graph is recorded, whatever the parameters'
     `requires_grad`: eval passes over a frozen or rebuilt network keep no
     closures and no saved activations alive.
-  * The hot unit of the networks is three ops, each one graph node: the 3x3
-    conv is one im2col matrix product per pass over the taps that read real
-    pixels, and batch norm has its closed-form backward.
+  * A training unit of the networks is three ops, each one graph node: the
+    3x3 conv is one im2col matrix product per pass over the taps that read
+    real pixels, and batch norm has its closed-form backward. A unit of a
+    network that no longer changes is one op, `conv_unit`, with eval-mode
+    batch norm folded into the conv.
 
 Only the operations defined here form the differentiable surface; network
 layers and losses are compositions of them.
@@ -325,6 +327,52 @@ def _live_taps(size: int, size_out: int) -> slice:
     return slice(0 if size_out >= 2 else 1, 3 if size >= 2 else 2)
 
 
+def _window_plan(h: int, w: int, stride: int) -> tuple[int, int, slice, slice]:
+    """Output sides and live taps (see `_live_taps`) of a padding-1 3x3 conv over h x w."""
+    h_out, w_out = (h - 1) // stride + 1, (w - 1) // stride + 1
+    return h_out, w_out, _live_taps(h, h_out), _live_taps(w, w_out)
+
+
+def _columns(x: np.ndarray, stride: int) -> np.ndarray:
+    """im2col of a padding-1 3x3 conv over x [batch, h, w, c_in].
+
+    One row per output position, laid out [tap_i, tap_j, c_in] over the live
+    taps to match `tap_matrix`: a strided view of the padded input, copied once.
+    """
+    batch, h, w, c_in = x.shape
+    h_out, w_out, ti, tj = _window_plan(h, w, stride)
+    xpad = np.zeros((batch, h + 2, w + 2, c_in))
+    xpad[:, 1 : h + 1, 1 : w + 1, :] = x
+    sb, sh, sw, sc = xpad.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xpad[:, ti.start :, tj.start :],
+        (batch, h_out, w_out, ti.stop - ti.start, tj.stop - tj.start, c_in),
+        (sb, stride * sh, stride * sw, sh, sw, sc),
+    )
+    return windows.reshape(batch * h_out * w_out, -1)
+
+
+def _col2im(gcols: np.ndarray, shape: tuple[int, ...], stride: int) -> np.ndarray:
+    """Input gradient of `_columns`: each live tap's column gradient added back to its window."""
+    batch, h, w, c_in = shape
+    h_out, w_out, ti, tj = _window_plan(h, w, stride)
+    taps_i, taps_j = ti.stop - ti.start, tj.stop - tj.start
+    gcols = gcols.reshape(batch, h_out, w_out, taps_i, taps_j, c_in)
+    gpad = np.zeros((batch, h + 2, w + 2, c_in))
+    for a in range(taps_i):
+        rows = slice(ti.start + a, ti.start + a + (h_out - 1) * stride + 1, stride)
+        for b in range(taps_j):
+            cols = slice(tj.start + b, tj.start + b + (w_out - 1) * stride + 1, stride)
+            gpad[:, rows, cols, :] += gcols[:, :, :, a, b, :]
+    return gpad[:, 1 : h + 1, 1 : w + 1, :]
+
+
+def tap_matrix(weight: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
+    """The live taps of a [3,3,c_in,c_out] weight over an h x w input, as [taps*c_in, c_out]."""
+    _, _, ti, tj = _window_plan(h, w, stride)
+    return weight[ti, tj].reshape(-1, weight.shape[3])
+
+
 def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     """3x3 convolution, channels-last, padding fixed to 1, stride 1 or 2.
 
@@ -351,20 +399,11 @@ def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> 
             f"3x3 conv channel mismatch: input {x.shape} vs weight {weight.shape}"
         )
 
-    batch, h, w, c_in = x4.shape
+    batch, h, w, _ = x4.shape
     c_out = weight.shape[3]
-    h_out = (h - 1) // stride + 1
-    w_out = (w - 1) // stride + 1
-    ti, tj = _live_taps(h, h_out), _live_taps(w, w_out)
-    taps_i, taps_j = ti.stop - ti.start, tj.stop - tj.start
-    xpad = np.zeros((batch, h + 2, w + 2, c_in))
-    xpad[:, 1 : h + 1, 1 : w + 1, :] = x4.data
-    # [batch, h, w, c_in, 3, 3] view -> live taps at the output positions,
-    # laid out [batch, h_out, w_out, tap_i, tap_j, c_in] to match the weight
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, (3, 3), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride, :, ti, tj].transpose(0, 1, 2, 4, 5, 3)
-    columns = windows.reshape(batch * h_out * w_out, taps_i * taps_j * c_in)
-    wmat = weight.data[ti, tj].reshape(-1, c_out)
+    h_out, w_out, ti, tj = _window_plan(h, w, stride)
+    columns = _columns(x4.data, stride)
+    wmat = tap_matrix(weight.data, h, w, stride)
     out_data = (columns @ wmat).reshape(batch, h_out, w_out, c_out)
     saved = columns if weight.requires_grad else None
 
@@ -372,21 +411,46 @@ def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> 
         gflat = g.reshape(-1, c_out)
         if weight.requires_grad:
             gw = np.zeros_like(weight.data)
-            gw[ti, tj] = (saved.T @ gflat).reshape(taps_i, taps_j, c_in, c_out)
+            gw[ti, tj] = (saved.T @ gflat).reshape(gw[ti, tj].shape)
             _accumulate(weight, gw)
         if x4.requires_grad:
-            # col2im: scatter each live tap's column gradient back to its window
-            gcols = (gflat @ wmat.T).reshape(batch, h_out, w_out, taps_i, taps_j, c_in)
-            gpad = np.zeros((batch, h + 2, w + 2, c_in))
-            for a in range(taps_i):
-                rows = slice(ti.start + a, ti.start + a + (h_out - 1) * stride + 1, stride)
-                for b in range(taps_j):
-                    cols = slice(tj.start + b, tj.start + b + (w_out - 1) * stride + 1, stride)
-                    gpad[:, rows, cols, :] += gcols[:, :, :, a, b, :]
-            _accumulate(x4, gpad[:, 1 : h + 1, 1 : w + 1, :])
+            _accumulate(x4, _col2im(gflat @ wmat.T, x4.shape, stride))
 
     out = x4._make(out_data, (x4, weight), backward)
     return out.reshape(out.shape[1:]) if squeeze else out
+
+
+def conv_unit(
+    x: Tensor, wmat: np.ndarray, shift: np.ndarray, slope: np.ndarray, stride: int
+) -> Tensor:
+    """A conv unit of a network that no longer changes, as one op.
+
+    The padding-1 3x3 conv of x [batch, h, w, c_in] by the live-tap weight
+    matrix `wmat` (see `tap_matrix`, with eval-mode batch norm's scale folded
+    in), plus the per-channel `shift`, then PReLU with per-channel `slope` as
+    max(y, 0) + slope * min(y, 0). `wmat`, `shift` and `slope` are constants:
+    backward returns only the input gradient.
+    """
+    x = Tensor._lift(x)
+    if x.ndim != 4:
+        raise DimensionError(f"conv unit expects input [B,h,w,c], got {x.shape}")
+    batch, h, w, c_in = x.shape
+    h_out, w_out, ti, tj = _window_plan(h, w, stride)
+    if wmat.shape[0] != (ti.stop - ti.start) * (tj.stop - tj.start) * c_in:
+        raise DimensionError(f"conv unit weight matrix {wmat.shape} does not match input {x.shape}")
+    c_out = wmat.shape[1]
+    y = _columns(x.data, stride) @ wmat
+    y += shift
+    neg = np.minimum(y, 0.0)
+    neg *= slope
+    out = np.maximum(y, 0.0)
+    out += neg
+
+    def backward(g):
+        gy = g.reshape(-1, c_out) * np.where(y > 0.0, 1.0, slope)
+        _accumulate(x, _col2im(gy @ wmat.T, x.shape, stride))
+
+    return x._make(out.reshape(batch, h_out, w_out, c_out), (x,), backward)
 
 
 # -- normalization -------------------------------------------------------------

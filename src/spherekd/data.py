@@ -64,13 +64,20 @@ class SyntheticIdentityDataset:
 RENDERER_GAIN = 2.0
 
 
+# Rows generated at a time. Each row's noise, latent and image depend only on
+# its own draws, so the images equal those of one block, and the temporaries
+# of rendering stay one chunk's size however many distractors there are. A
+# last chunk of one row joins the one before: numpy multiplies a single row
+# by a vector-matrix product, whose sums round differently.
+RENDER_CHUNK = 4096
+
+
 def _render(latents: np.ndarray, w1, w2, size: int) -> np.ndarray:
     """Fixed nonlinear map latent -> image, then per-image standardization."""
     hidden = np.tanh(RENDERER_GAIN * (latents @ w1)) ** 2
     flat = hidden @ w2
-    flat = flat - flat.mean(axis=1, keepdims=True)
-    std = np.maximum(flat.std(axis=1, keepdims=True), 1e-8)
-    flat = flat / std
+    flat -= flat.mean(axis=1, keepdims=True)
+    flat /= np.maximum(flat.std(axis=1, keepdims=True), 1e-8)
     return flat.reshape(-1, size, size, 1)
 
 
@@ -118,10 +125,20 @@ def generate_dataset(
     first_distractor = num_train_classes + num_test_classes
     counts = np.where(np.arange(n_classes) < first_distractor, samples_per_class, 1)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), counts)
-    noise = substream(seed, "data-noise").normal(size=(labels.shape[0], latent_dim))
-    latents = prototypes[labels] + noise_sigma * noise
-    latents /= np.linalg.norm(latents, axis=1, keepdims=True)
-    images = _render(latents, w1, w2, image_size)
+    n = labels.shape[0]
+    noise_rng = substream(seed, "data-noise")
+    latents = np.empty((n, latent_dim))
+    images = np.empty((n, image_size, image_size, 1))
+    bounds = [*range(0, n, RENDER_CHUNK), n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        noise = noise_rng.normal(size=(stop - start, latent_dim))
+        z = prototypes[labels[rows]] + noise_sigma * noise
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        latents[rows] = z
+        images[rows] = _render(z, w1, w2, image_size)
 
     return SyntheticIdentityDataset(
         images=images,

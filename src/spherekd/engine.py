@@ -106,13 +106,13 @@ def _schedule_for(cfg: RunConfig, total_steps: int) -> LrSchedule:
 
 def _train_eval_stats(net, head, images, labels, batch_size=64) -> tuple[float, float]:
     """Eval-mode classification loss and accuracy over the given samples."""
+    folded = net.folded()
     losses, hits = [], 0
     with no_grad():
         for start in range(0, len(labels), batch_size):
             x = Tensor(images[start : start + batch_size])
             y = labels[start : start + batch_size]
-            _, emb = net.forward(x, train=False)
-            logits = head.logits(emb)
+            logits = head.logits(folded.forward(x)[1])
             losses.append(softmax_cross_entropy(logits, y).data)
             hits += int(np.sum(np.argmax(logits.data, axis=1) == y))
     all_losses = np.concatenate(losses)
@@ -124,22 +124,25 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
 
     The teacher is frozen, so its features per sample never change during the
     student's training; caching them once avoids a forward pass per step.
+    Each batch is written into arrays allocated once for the whole set.
     """
     if kind == "none" or teacher is None:
         return None, None
-    emb_rows, feat_rows = [], [[] for _ in range(teacher.num_stages - 1)]
-    with no_grad():
-        for start in range(0, images.shape[0], batch_size):
-            x = Tensor(images[start : start + batch_size])
-            feats, emb = teacher.forward(x, train=False)
-            emb_rows.append(emb.data)
-            if kind == "l2":  # composite_loss reads stages 1..n-1 only
-                for s, f in enumerate(feats[:-1]):
-                    feat_rows[s].append(f.data)
-    emb_all = np.concatenate(emb_rows, axis=0)
+    folded = teacher.folded()
+    n, arch = images.shape[0], teacher.arch
+    emb_all = np.empty((n, arch.embedding_dim))
     feats_all = None
-    if kind == "l2":
-        feats_all = [np.concatenate(rows, axis=0) for rows in feat_rows]
+    if kind == "l2":  # composite_loss reads stages 1..n-1 only
+        sides = arch.stage_sizes()[:-1]
+        feats_all = [np.empty((n, s, s, c)) for s, c in zip(sides, teacher.channels)]
+    with no_grad():
+        for start in range(0, n, batch_size):
+            stop = start + batch_size
+            feats, emb = folded.forward(Tensor(images[start:stop]))
+            emb_all[start:stop] = emb.data
+            if feats_all is not None:
+                for dst, f in zip(feats_all, feats):
+                    dst[start:stop] = f.data
     return feats_all, emb_all
 
 
@@ -169,8 +172,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
     if kind != "none":
         if teacher_path is None:
             raise ConfigError(f"distill kind {kind!r} requires --teacher")
-        teacher = load_network(cfg, teacher_path, role="teacher")
-        freeze(teacher)
+        teacher = load_network(cfg, teacher_path, role="teacher")  # frozen
 
     arch = cfg.arch
     channels = arch.student_channels if student else arch.teacher_channels
@@ -287,15 +289,18 @@ def train_student(
 
 
 def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, None]:
-    """The checkpoint's network and, in place of its classifier, None.
+    """The checkpoint's network, frozen, and, in place of its classifier, None.
 
     Only the network's own tensors are read: evaluation never uses the
     classifier, so a checkpoint without `classifier.weight` loads the same.
+    A loaded network is only evaluated or distilled from, never trained, so
+    it is frozen here and its units are folded once.
     """
     teacher = ckpt.meta.get("role") == "teacher"
     channels = cfg.arch.teacher_channels if teacher else cfg.arch.student_channels
     net = StagedNetwork(cfg.arch, channels, substream(0, "rebuild"))
     restore(state_arrays(net), ckpt.tensors)
+    freeze(net)
     return net, None
 
 

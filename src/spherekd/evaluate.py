@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .data import IdentificationProtocol, VerificationProtocol
 from .errors import DimensionError, NumericError
-from .nets import StagedNetwork
+from .nets import FoldedNetwork, StagedNetwork
 from .parallel import blas_threads, cpu_count, hold_blas_threads
 
 # probes per similarity block in rank-1 identification: the block takes
@@ -32,12 +32,12 @@ ROWS_PER_WORKER = 2048
 
 
 def _embed(
-    net: StagedNetwork, images: np.ndarray, order: np.ndarray, batch_size: int, out: np.ndarray
+    net: FoldedNetwork, images: np.ndarray, order: np.ndarray, batch_size: int, out: np.ndarray
 ) -> None:
-    """Write the raw eval-mode embeddings of `images[order]` to `out`, batch_size rows at a time."""
+    """Write the raw embeddings of `images[order]` to `out`, batch_size rows at a time."""
     for start in range(0, len(order), batch_size):
         stop = start + batch_size
-        out[start:stop] = net.forward(Tensor(images[order[start:stop]]), train=False)[1].data
+        out[start:stop] = net.forward(Tensor(images[order[start:stop]]))[1].data
 
 
 def extract_embeddings(
@@ -45,8 +45,9 @@ def extract_embeddings(
 ) -> np.ndarray:
     """Unit-normalized eval-mode embeddings, one row per image.
 
-    With `rows`, only those images are embedded, in the given order; the
-    other rows of the table stay zero. From ROWS_PER_WORKER rows per thread
+    The network is folded once on entry (see `StagedNetwork.folded`). With
+    `rows`, only those images are embedded, in the given order; the other
+    rows of the table stay zero. From ROWS_PER_WORKER rows per thread
     on, the rows are split into contiguous parts, one per thread, with at
     most one thread per CPU and per BLAS thread; each thread embeds its part
     in batches of batch_size // threads rows, so batch_size rows are in
@@ -57,6 +58,7 @@ def extract_embeddings(
         raise DimensionError(f"expected images [N,h,w,c], got {images.shape}")
     n = images.shape[0]
     order = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    folded = net.folded()
     picked = np.empty((len(order), net.arch.embedding_dim))
     threads = min(cpu_count(), blas_threads(), len(order) // ROWS_PER_WORKER)
     with no_grad():  # a module flag, so it holds in the threads too
@@ -64,10 +66,10 @@ def extract_embeddings(
             parts = zip(np.array_split(order, threads), np.array_split(picked, threads))
             step = max(1, batch_size // threads)
             with hold_blas_threads(1), ThreadPoolExecutor(threads) as pool:
-                for done in [pool.submit(_embed, net, images, o, step, out) for o, out in parts]:
+                for done in [pool.submit(_embed, folded, images, o, step, out) for o, out in parts]:
                     done.result()
         else:
-            _embed(net, images, order, batch_size, picked)
+            _embed(folded, images, order, batch_size, picked)
     bad = ~np.isfinite(picked).all(axis=1)
     if bad.any():
         raise NumericError(

@@ -156,6 +156,23 @@ def _case_conv3x3_s1_2x2(rng):
     return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=1) ** 2).mean()
 
 
+def _case_conv_unit(rng):
+    # a stride-2 then a stride-1 folded unit, with random batch-norm state
+    from .nets import ConvUnit, FoldedUnit
+
+    units = []
+    for c_in, c_out, stride, side in ((2, 3, 2, 5), (3, 4, 1, 3)):
+        unit = ConvUnit(c_in, c_out, stride, rng)
+        unit.bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=c_out)
+        unit.bn.beta.data[:] = rng.normal(size=c_out)
+        unit.bn.running_mean[:] = rng.normal(size=c_out)
+        unit.bn.running_var[:] = rng.uniform(0.5, 2.0, size=c_out)
+        unit.slope.data[:] = rng.uniform(0.1, 0.5, size=c_out)
+        units.append(FoldedUnit(unit, side))
+    x = Tensor(rng.normal(size=(2, 5, 5, 2)), requires_grad=True)
+    return [x], lambda: (units[1].forward(units[0].forward(x)) ** 2).mean()
+
+
 def _case_prelu(rng):
     x = Tensor(_away_from_zero(rng, (2, 3, 3, 4)), requires_grad=True)
     s = Tensor(rng.uniform(0.1, 0.5, size=(4,)), requires_grad=True)
@@ -321,6 +338,7 @@ CASES: list[CheckCase] = [
     CheckCase("conv2d-3x3-stride2-2x2-to-1x1", "nets", _case_conv3x3_s2_to_1x1),
     CheckCase("conv2d-3x3-stride1-1x1", "nets", _case_conv3x3_s1_1x1),
     CheckCase("conv2d-3x3-stride1-2x2", "nets", _case_conv3x3_s1_2x2),
+    CheckCase("conv-unit-folded", "nets", _case_conv_unit),
     CheckCase("prelu", "nets", _case_prelu),
     CheckCase("l2-normalize", "nets", _case_l2_normalize),
     CheckCase("cosine", "nets", _case_cosine),

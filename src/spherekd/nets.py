@@ -99,10 +99,32 @@ class ConvUnit:
         self.bn = BatchNorm(c_out)
         self.slope = Tensor(np.full(c_out, 0.25), requires_grad=True)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
+        """Train mode; in eval mode the unit runs as a FoldedUnit."""
         y = ad.conv2d_3x3(x, self.weight, stride=self.stride)
-        y = self.bn.forward(y, train)
+        y = self.bn.forward(y, train=True)
         return ad.prelu(y, self.slope)
+
+
+class FoldedUnit:
+    """A ConvUnit in eval mode as one op, folded from the unit's values when built.
+
+    Eval-mode batch norm is the affine map y * scale + (beta - running_mean *
+    scale) with scale = gamma / sqrt(running_var + eps): the scale goes into
+    the live-tap weight matrix of the unit's input side, the rest into a
+    per-channel shift.
+    """
+
+    def __init__(self, unit: ConvUnit, side: int):
+        bn = unit.bn
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        self.stride = unit.stride
+        self.wmat = ad.tap_matrix(unit.weight.data, side, side, unit.stride) * scale
+        self.shift = bn.beta.data - bn.running_mean * scale
+        self.slope = unit.slope.data.copy()
+
+    def forward(self, x: Tensor) -> Tensor:
+        return ad.conv_unit(x, self.wmat, self.shift, self.slope, self.stride)
 
 
 class Block:
@@ -114,11 +136,6 @@ class Block:
         self.units = []
         for k in range(depth):
             self.units.append(ConvUnit(c_in if k == 0 else c_out, c_out, 2 if k == 0 else 1, rng))
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        for unit in self.units:
-            x = unit.forward(x, train)
-        return x
 
 
 class StagedNetwork:
@@ -139,6 +156,8 @@ class StagedNetwork:
             rng.normal(0.0, np.sqrt(2.0 / self.flat_dim), size=(self.flat_dim, arch.embedding_dim)),
             requires_grad=True,
         )
+        # set by freeze(); the folded units only, so that no cycle keeps the network alive
+        self._folded_units: list[list[FoldedUnit]] | None = None
 
     @property
     def num_stages(self) -> int:
@@ -151,14 +170,33 @@ class StagedNetwork:
                 f"stage {stage}: expected input [B,h,w,{expected_c}], got {x.shape}"
             )
 
+    def folded(self) -> "FoldedNetwork":
+        """The network in eval mode: its units folded once by `freeze`, otherwise now."""
+        units = self._folded_units
+        if units is None:
+            sides = [self.arch.input_size, *self.arch.stage_sizes()]
+            units = [
+                [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(block.units)]
+                for i, block in enumerate(self.blocks)
+            ]
+        return FoldedNetwork(self, units)
+
     def forward(self, batch: Tensor, train: bool = False) -> tuple[list[Tensor], Tensor]:
-        """All stage features F_1..F_n plus the embedding of the last one."""
-        batch = Tensor._lift(batch)
-        x = batch
+        """All stage features F_1..F_n plus the embedding of the last one.
+
+        Eval mode runs the units of `folded()`.
+        """
+        if not train:
+            return self.folded().forward(batch)
+        return self._run(Tensor._lift(batch), [block.units for block in self.blocks])
+
+    def _run(self, x: Tensor, stages: list[list]) -> tuple[list[Tensor], Tensor]:
+        """Stage features and embedding of `x` through the units of each stage."""
         features: list[Tensor] = []
-        for i, block in enumerate(self.blocks, start=1):
+        for i, units in enumerate(stages, start=1):
             self._check_stage_input(x, i)
-            x = block.forward(x, train)
+            for unit in units:
+                x = unit.forward(x)
             features.append(x)
         return features, self.head(x)
 
@@ -182,8 +220,9 @@ class StagedNetwork:
                 f"stage {stage}: tail expects [B,{side},{side},{expected_c}], got {feature.shape}"
             )
         x = feature
-        for i in range(stage, self.num_stages):
-            x = self.blocks[i].forward(x, train=False)
+        for units in self.folded().stages[stage:]:
+            for unit in units:
+                x = unit.forward(x)
         return self.head(x)
 
     # -- named state --------------------------------------------------------
@@ -206,6 +245,18 @@ class StagedNetwork:
 
     def param_count(self) -> int:
         return sum(p.data.size for p in parameters(self).values())
+
+
+class FoldedNetwork:
+    """A StagedNetwork in eval mode: each stage's conv units as FoldedUnits, then the head."""
+
+    def __init__(self, net: StagedNetwork, stages: list[list[FoldedUnit]]):
+        self.net = net
+        self.stages = stages
+
+    def forward(self, batch: Tensor) -> tuple[list[Tensor], Tensor]:
+        """All stage features F_1..F_n plus the embedding of the last one."""
+        return self.net._run(Tensor._lift(batch), self.stages)
 
 
 class StudentTransform:
@@ -295,10 +346,17 @@ def parameters(*modules) -> dict[str, Tensor]:
 
 
 def freeze(*modules) -> None:
-    """Stop gradients into every parameter: a frozen network is a fixed function."""
+    """Stop gradients into every parameter, and fold each network once.
+
+    A frozen network is a fixed function: its eval-mode passes run the units
+    folded here, so none of its values may change after.
+    """
     for p in parameters(*modules).values():
         p.requires_grad = False
         p.grad = None
+    for m in modules:
+        if isinstance(m, StagedNetwork):
+            m._folded_units = m.folded().stages
 
 
 def state_arrays(*modules) -> dict[str, np.ndarray]:

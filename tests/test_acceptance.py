@@ -205,8 +205,9 @@ def test_criterion_08_composition_invariant():
         feats, emb = net.forward(x, train=False)
         for split in range(1, net.num_stages + 1):
             y = feats[split - 1]
-            for block in net.blocks[split:]:
-                y = block.forward(y, train=False)
+            for units in net.folded().stages[split:]:
+                for unit in units:
+                    y = unit.forward(y)
             split_ok &= np.array_equal(net.head(y).data, emb.data)
 
     tiny = ArchConfig(

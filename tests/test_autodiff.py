@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, gradient oracles, and graph invariants."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,19 @@ class TestConv3x3MatchesNineTaps:
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("side,c_in,c_out,stride", default_unit_shapes())
+    def test_columns_equal_the_sliding_window_gather(self, side, c_in, c_out, stride):
+        x = np.random.default_rng(side * 1000 + c_in).normal(size=(3, side, side, c_in))
+        h_out = (side - 1) // stride + 1
+        taps = ad._live_taps(side, h_out)
+        xpad = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        windows = np.lib.stride_tricks.sliding_window_view(xpad, (3, 3), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride, :, taps, taps].transpose(0, 1, 2, 4, 5, 3)
+        gather = windows.reshape(3 * h_out * h_out, -1)
+        columns = ad._columns(x, stride)
+        assert columns.shape == gather.shape
+        assert columns.tobytes() == gather.tobytes()
+
     def test_frozen_weight_gets_no_gradient(self):
         rng = np.random.default_rng(30)
         x = Tensor(rng.normal(size=(2, 4, 4, 2)), requires_grad=True)
@@ -408,3 +423,51 @@ class TestFiniteDifferenceProperty:
         monkeypatch.setattr(Tensor, "__mul__", corrupted_mul)
         err = check_gradients(lambda: (x * x).sum(), [x])
         assert err > 1e-4
+
+
+# ops that return a Tensor but build no graph node, so have nothing to check
+NOT_DIFFERENTIABLE = {"check_finite"}
+
+
+def _returns_tensor(fn) -> bool:
+    ann = inspect.signature(fn).return_annotation
+    return ann is Tensor or (isinstance(ann, str) and ann.startswith(("Tensor", "tuple[Tensor")))
+
+
+def ops_without_gradcheck_case(monkeypatch) -> list[str]:
+    """Public autodiff functions returning a Tensor that no gradcheck case's loss calls."""
+    from spherekd import gradcheck
+
+    ops = [
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and not name.startswith("_") and _returns_tensor(fn)
+    ]
+    ops = [name for name in ops if name not in NOT_DIFFERENTIABLE]
+    called, covered = set(), set()
+    for name in ops:
+        fn = getattr(ad, name)
+
+        def spy(*args, _name=name, _fn=fn, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ad, name, spy)
+    for case in gradcheck.CASES:
+        _, build = case.build(np.random.default_rng(0))
+        called.clear()  # only what the checked loss calls counts
+        build()
+        covered |= called
+    return sorted(set(ops) - covered)
+
+
+class TestEveryOpHasAGradcheckCase:
+    def test_every_public_op_is_checked(self, monkeypatch):
+        assert ops_without_gradcheck_case(monkeypatch) == []
+
+    def test_a_new_op_without_a_case_is_caught(self, monkeypatch):
+        def doubled(x: Tensor) -> Tensor:
+            return Tensor._lift(x) * 2.0
+
+        monkeypatch.setattr(ad, "doubled", doubled, raising=False)
+        assert ops_without_gradcheck_case(monkeypatch) == ["doubled"]

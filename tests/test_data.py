@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spherekd import data
 from spherekd.data import (
     build_identification_protocol,
     build_verification_protocol,
@@ -108,7 +109,16 @@ class TestGeneratorMatchesPerClassLoop:
         "kw", [{}, {"num_distractors": 0}, {"samples_per_class": 2}], ids=str
     )
     def test_bitwise(self, kw):
-        from spherekd.data import _render
+        self.assert_matches_reference(kw)
+
+    # 2,100 rows: chunks of 640 leave 180, chunks of 2,099 leave a single row
+    @pytest.mark.parametrize("chunk", [640, 2099])
+    def test_chunks_render_as_one_block(self, monkeypatch, chunk):
+        monkeypatch.setattr(data, "RENDER_CHUNK", chunk)
+        self.assert_matches_reference({})
+
+    @staticmethod
+    def assert_matches_reference(kw):
         from spherekd.rng import substream
 
         ds = generate_dataset(3, **kw)
@@ -119,7 +129,16 @@ class TestGeneratorMatchesPerClassLoop:
         rng = substream(3, "data-renderer")
         w1 = rng.normal(0.0, 1.0 / np.sqrt(16), size=(16, 64))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(64), size=(64, 256))
-        assert ds.images.tobytes() == _render(latents, w1, w2, 16).tobytes()
+        assert ds.images.tobytes() == data._render(latents, w1, w2, 16).tobytes()
+
+    @pytest.mark.parametrize("chunk", [data.RENDER_CHUNK, 1000])
+    def test_fewer_distractors_give_a_prefix(self, monkeypatch, chunk):
+        monkeypatch.setattr(data, "RENDER_CHUNK", chunk)
+        small = generate_dataset(0, num_distractors=500)
+        large = generate_dataset(0, num_distractors=2000)
+        n = small.num_samples
+        assert small.images.tobytes() == large.images[:n].tobytes()
+        assert np.array_equal(small.labels, large.labels[:n])
 
 
 class TestVerificationProtocol:

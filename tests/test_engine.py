@@ -27,6 +27,7 @@ from spherekd.evaluate import extract_embeddings, rank1_identification, verifica
 from spherekd.nets import (
     ArchConfig,
     ClassifierHead,
+    FoldedNetwork,
     StagedNetwork,
     parameters,
     stage_transforms,
@@ -198,13 +199,13 @@ class TestEvaluateNetwork:
         net = StagedNetwork(toy_config.arch, toy_config.arch.teacher_channels, substream(0, "t"))
         full = extract_embeddings(net, dataset.images)
         forwarded = []
-        original = net.forward
+        original = FoldedNetwork.forward
 
-        def counting(batch, train=False):
+        def counting(folded, batch):
             forwarded.append(batch.data.copy())
-            return original(batch, train)
+            return original(folded, batch)
 
-        monkeypatch.setattr(net, "forward", counting)
+        monkeypatch.setattr(FoldedNetwork, "forward", counting)
         metrics = evaluate_network(net, dataset, vprot, iprot)
         scored = np.unique(
             np.concatenate([vprot.index_a, vprot.index_b, iprot.gallery_indices, iprot.probe_indices])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spherekd import autodiff as ad
 from spherekd.autodiff import Tensor
 from spherekd.errors import ConfigError, DimensionError
 from spherekd.gradcheck import check_gradients
@@ -44,7 +45,9 @@ class TestForwardAllStages:
         x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 4, 1)))
         feats, emb = net.forward(x)
         assert len(feats) == 1
-        direct = net.blocks[0].forward(x, train=False)
+        direct = x
+        for unit in net.folded().stages[0]:
+            direct = unit.forward(direct)
         assert np.array_equal(feats[0].data, direct.data)
 
     def test_head_of_last_feature_equals_embedding(self):
@@ -76,8 +79,9 @@ class TestForwardAllStages:
             feats, emb = net.forward(x, train=False)
             for split in range(1, net.num_stages + 1):
                 y = feats[split - 1]
-                for block in net.blocks[split:]:
-                    y = block.forward(y, train=False)
+                for units in net.folded().stages[split:]:
+                    for unit in units:
+                        y = unit.forward(y)
                 assert np.array_equal(y.data, feats[-1].data)
                 assert np.array_equal(net.head(y).data, emb.data)
 
@@ -123,6 +127,62 @@ class TestTeacherTail:
         (net.tail(1, f) ** 2).mean().backward()
         assert f.grad is not None
         assert all(p.grad is None for p in parameters(net).values())
+
+
+def randomized(net, seed):
+    """Random batch-norm state and slopes, so that no fold is near the identity."""
+    rng = np.random.default_rng(seed)
+    for block in net.blocks:
+        for unit in block.units:
+            c = unit.slope.data.shape[0]
+            unit.bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=c)
+            unit.bn.beta.data[:] = rng.normal(size=c)
+            unit.bn.running_mean[:] = rng.normal(size=c)
+            unit.bn.running_var[:] = rng.uniform(0.5, 2.0, size=c)
+            unit.slope.data[:] = rng.uniform(0.0, 0.5, size=c)
+    return net
+
+
+def unfolded_features(net, x):
+    """Eval-mode stage features by three ops per unit: conv, running-estimate batch norm, PReLU."""
+    features = []
+    for block in net.blocks:
+        for unit in block.units:
+            bn = unit.bn
+            y = ad.conv2d_3x3(x, unit.weight, stride=unit.stride)
+            y = ad.batch_norm(y, bn.gamma, bn.beta, bn.eps, (bn.running_mean, bn.running_var))[0]
+            x = ad.prelu(y, unit.slope)
+        features.append(x)
+    return features
+
+
+def close(got, ref):
+    return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFoldedUnits:
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_forward_and_tails_match_the_unfolded_ops(self, role, batch):
+        arch = ArchConfig()
+        channels = arch.teacher_channels if role == "teacher" else arch.student_channels
+        net = randomized(StagedNetwork(arch, channels, substream(batch, role)), seed=batch)
+        freeze(net)
+        x = Tensor(np.random.default_rng(batch).normal(size=(batch, 16, 16, 1)))
+        reference = unfolded_features(net, x)
+        ref_emb = net.head(reference[-1]).data
+        feats, emb = net.forward(x, train=False)
+        assert all(close(f.data, r.data) for f, r in zip(feats, reference))
+        assert close(emb.data, ref_emb)
+        for stage in range(1, net.num_stages + 1):
+            assert close(net.tail(stage, reference[stage - 1]).data, ref_emb)
+
+    def test_a_frozen_network_folds_once(self):
+        net = tiny_teacher()
+        # folded from the values as they stand
+        assert net.folded().stages is not net.folded().stages
+        freeze(net)
+        assert net.folded().stages is net.folded().stages
 
 
 class TestBatchNorm:
