@@ -8,7 +8,8 @@ Design notes:
   * The computation graph is implicit: each Tensor records its parents and a
     backward closure. `backward()` on a scalar walks the graph once in reverse
     topological order; accumulation order is fixed by construction order, so
-    gradients are bitwise reproducible.
+    gradients are bitwise reproducible. The walk frees each node's closure,
+    parents and gradient once it has run, so a graph serves one backward.
   * Inside `no_grad()` no graph is recorded, whatever the parameters'
     `requires_grad`: eval passes over a frozen or rebuilt network keep no
     closures and no saved activations alive.
@@ -199,7 +200,15 @@ class Tensor:
     # -- graph execution -----------------------------------------------------
 
     def backward(self) -> None:
-        """Populate grads of every requires_grad tensor reachable from this scalar."""
+        """Populate grads of every requires_grad leaf reachable from this scalar.
+
+        The graph is single-use. As soon as an interior node's backward has
+        run, the node drops its closure (and the arrays it saved), its parents
+        and its gradient, so a step's activations die while backward walks
+        down. Leaves keep their gradients. Walking a used graph again, from
+        this root or from another one that shares a node with it, raises
+        ContractError.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -207,9 +216,17 @@ class Tensor:
         if not self.requires_grad:
             return
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo_order(self)):
+        order = topo_order(self)
+        while order:
+            node = order.pop()  # the list no longer keeps a visited node alive
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents, node.grad = _used, (), None
+
+
+def _used(g) -> None:
+    """The backward of a node whose graph backward() has already walked."""
+    raise ContractError("backward through a graph that backward() already used; build it again")
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

@@ -9,10 +9,11 @@ One binary, six verbs:
     compare        run the full experiment matrix over several seeds
     grad-check     finite-difference verification of all differentiable ops
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure,
-5 check failure. Every command writes its effective config (all defaults
-materialized) next to its outputs and echoes it to stdout, so a run is
-reproducible from its printed output alone.
+Exit codes: 0 success, 1 a `compare --parallel` worker process died,
+2 config error, 3 I/O error, 4 numeric failure, 5 check failure. Every
+command writes its effective config (all defaults materialized) next to its
+outputs and echoes it to stdout, so a run is reproducible from its printed
+output alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .checkpoint import atomic_open
@@ -28,6 +30,7 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .losses import DISTILL_KINDS
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
@@ -226,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, DimensionError, ContractError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenExecutor as exc:  # a worker process died, e.g. killed
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

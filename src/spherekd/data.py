@@ -66,10 +66,24 @@ RENDERER_GAIN = 2.0
 
 # Rows generated at a time. Each row's noise, latent and image depend only on
 # its own draws, so the images equal those of one block, and the temporaries
-# of rendering stay one chunk's size however many distractors there are. A
-# last chunk of one row joins the one before: numpy multiplies a single row
-# by a vector-matrix product, whose sums round differently.
+# of rendering stay one chunk's size however many distractors there are.
 RENDER_CHUNK = 4096
+
+
+def chunk_bounds(n: int, size: int, min_last: int = 2) -> list[int]:
+    """The bounds 0, size, 2 * size, ..., n of n rows cut into chunks of `size`.
+
+    A last chunk of fewer than `min_last` rows joins the one before. Each
+    row's result of a matrix product is taken to be independent of the other
+    rows, but that fails for a small block: numpy multiplies a single row by
+    a vector-matrix product, and OpenBLAS runs small products on a kernel
+    whose sums round differently once they are deep enough (on
+    scipy-openblas 0.3.31, fewer than 8 rows through a 512-deep product).
+    """
+    bounds = [*range(0, n, size), n]
+    if len(bounds) > 2 and n - bounds[-2] < min_last:
+        del bounds[-2]
+    return bounds
 
 
 def _render(latents: np.ndarray, w1, w2, size: int) -> np.ndarray:
@@ -129,9 +143,7 @@ def generate_dataset(
     noise_rng = substream(seed, "data-noise")
     latents = np.empty((n, latent_dim))
     images = np.empty((n, image_size, image_size, 1))
-    bounds = [*range(0, n, RENDER_CHUNK), n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
+    bounds = chunk_bounds(n, RENDER_CHUNK)
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
         noise = noise_rng.normal(size=(stop - start, latent_dim))

@@ -45,7 +45,7 @@ from .nets import (
     state_arrays,
 )
 from .optim import LrSchedule, SgdMomentum
-from .parallel import process_pool
+from .parallel import keep_freed_memory, process_pool
 from .rng import substream
 
 # report row of each distillation kind; the teacher's row comes first
@@ -146,6 +146,66 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     return feats_all, emb_all
 
 
+def _fit(cfg: RunConfig, role: str, kind: str, teacher, modules, lambdas, images, labels, epochs,
+         logger) -> None:
+    """SGD on `modules` (network, head, transforms) over `epochs` shuffled passes.
+
+    Writes the metrics log's meta record, then one record per step and per
+    epoch. The teacher cache, the optimizer and its velocities live only in
+    here, and a step's graph, teacher outputs and gradients only in `step`,
+    so none of them outlives what reads it.
+    """
+    keep_freed_memory()
+    net, head, *transforms = modules
+    n_samples, batch_size = len(labels), cfg.train.batch_size
+    steps_per_epoch = len(_batches(np.arange(n_samples), batch_size))
+    logger.write(
+        {
+            "type": "meta",
+            "role": role,
+            "kind": kind,
+            "lambdas": list(lambdas) if kind != "none" else [],
+            "epochs": epochs,
+            "steps_per_epoch": steps_per_epoch,
+            "config": asdict(cfg),
+        }
+    )
+    feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
+    opt = SgdMomentum(
+        parameters(*modules), _schedule_for(cfg, epochs * steps_per_epoch), cfg.train.momentum
+    )
+    shuffle_rng = substream(cfg.seed, f"{role}-shuffle")
+
+    def step(idx: np.ndarray, where: str) -> tuple[float, dict[str, float], float]:
+        """One update on the samples `idx`: the loss, its terms and the learning rate."""
+        teacher_out = None
+        if emb_cache is not None:
+            feats = None if feats_cache is None else [Tensor(f[idx]) for f in feats_cache]
+            teacher_out = (feats, Tensor(emb_cache[idx]))
+        total, parts = composite_loss(
+            Tensor(images[idx]), labels[idx], teacher, net, transforms, head, kind,
+            lambdas, train=True, teacher_out=teacher_out,
+        )
+        try:
+            check_finite(total, "loss")
+        except NumericError as exc:
+            raise NumericError(f"{role} run: non-finite loss at {where}") from exc
+        total.backward()
+        lr = opt.step()
+        opt.zero_grad()
+        return total.item(), parts, lr
+
+    for epoch in range(epochs):
+        perm = shuffle_rng.permutation(n_samples)
+        epoch_totals = []
+        for batch_no, idx in enumerate(_batches(perm, batch_size)):
+            total, parts, lr = step(idx, f"epoch {epoch} batch {batch_no}")
+            epoch_totals.append(total)
+            step_no = epoch * steps_per_epoch + batch_no
+            logger.write({"type": "step", "step": step_no, "lr": lr, "total": total, "parts": parts})
+        logger.write({"type": "epoch", "epoch": epoch, "mean_total": float(np.mean(epoch_totals))})
+
+
 def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
     """Train one network and persist its checkpoint and metrics log.
 
@@ -192,57 +252,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
 
     modules = [net, head, *transforms]
     epochs = cfg.train.student_epochs if student else cfg.train.teacher_epochs
-    n_samples = len(labels)
-    steps_per_epoch = len(_batches(np.arange(n_samples), cfg.train.batch_size))
-    opt = SgdMomentum(
-        parameters(*modules), _schedule_for(cfg, epochs * steps_per_epoch), cfg.train.momentum
-    )
-    shuffle_rng = substream(cfg.seed, f"{role}-shuffle")
-
     logger = MetricsLogger(out / f"{stem}_metrics.jsonl")
     try:
-        logger.write(
-            {
-                "type": "meta",
-                "role": role,
-                "kind": kind,
-                "lambdas": list(lambdas) if kind != "none" else [],
-                "epochs": epochs,
-                "steps_per_epoch": steps_per_epoch,
-                "config": asdict(cfg),
-            }
-        )
-        feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
-        step = 0
-        for epoch in range(epochs):
-            perm = shuffle_rng.permutation(n_samples)
-            epoch_totals = []
-            for batch_no, idx in enumerate(_batches(perm, cfg.train.batch_size)):
-                teacher_out = None
-                if emb_cache is not None:
-                    feats = None if feats_cache is None else [Tensor(f[idx]) for f in feats_cache]
-                    teacher_out = (feats, Tensor(emb_cache[idx]))
-                total, parts = composite_loss(
-                    Tensor(images[idx]), labels[idx], teacher, net, transforms, head, kind,
-                    lambdas, train=True, teacher_out=teacher_out,
-                )
-                try:
-                    check_finite(total, "loss")
-                except NumericError as exc:
-                    raise NumericError(
-                        f"{role} run: non-finite loss at epoch {epoch} batch {batch_no}"
-                    ) from exc
-                opt.zero_grad()
-                total.backward()
-                lr = opt.step()
-                epoch_totals.append(total.item())
-                logger.write(
-                    {"type": "step", "step": step, "lr": lr, "total": total.item(), "parts": parts}
-                )
-                step += 1
-            logger.write(
-                {"type": "epoch", "epoch": epoch, "mean_total": float(np.mean(epoch_totals))}
-            )
+        _fit(cfg, role, kind, teacher, modules, lambdas, images, labels, epochs, logger)
         train_loss, train_accuracy = _train_eval_stats(net, head, images, labels)
         logger.write(
             {

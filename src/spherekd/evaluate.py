@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .data import IdentificationProtocol, VerificationProtocol
+from .data import IdentificationProtocol, VerificationProtocol, chunk_bounds
 from .errors import DimensionError, NumericError
 from .nets import FoldedNetwork, StagedNetwork
 from .parallel import blas_threads, cpu_count, hold_blas_threads
@@ -34,9 +34,15 @@ ROWS_PER_WORKER = 2048
 def _embed(
     net: FoldedNetwork, images: np.ndarray, order: np.ndarray, batch_size: int, out: np.ndarray
 ) -> None:
-    """Write the raw embeddings of `images[order]` to `out`, batch_size rows at a time."""
-    for start in range(0, len(order), batch_size):
-        stop = start + batch_size
+    """Write the raw embeddings of `images[order]` to `out`, batch_size rows at a time.
+
+    A last batch of fewer than batch_size // 2 rows joins the one before
+    (see `chunk_bounds`), so that the last rows are not embedded in a small
+    block, and a row's embedding does not depend on how the rows were split
+    into parts.
+    """
+    bounds = chunk_bounds(len(order), batch_size, batch_size // 2)
+    for start, stop in zip(bounds, bounds[1:]):
         out[start:stop] = net.forward(Tensor(images[order[start:stop]]))[1].data
 
 

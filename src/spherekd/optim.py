@@ -24,7 +24,7 @@ class LrSchedule:
 
 
 class SgdMomentum:
-    """v <- mu * v + g; p <- p - lr * v, per named parameter."""
+    """v <- mu * v + g; p <- p - lr * v, per named parameter, both in place."""
 
     def __init__(self, params: dict[str, Tensor], schedule: LrSchedule, momentum: float = 0.9):
         if schedule.base_lr <= 0:
@@ -45,8 +45,9 @@ class SgdMomentum:
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"parameter {name!r} has no gradient")
-            v = self.momentum * self.velocity[name] + p.grad
-            self.velocity[name] = v
-            p.data = p.data - lr * v
+            v = self.velocity[name]
+            v *= self.momentum
+            v += p.grad
+            p.data -= lr * v
         self.step_count += 1
         return lr

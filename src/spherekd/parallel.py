@@ -1,4 +1,5 @@
-"""CPUs, the BLAS thread count, and worker processes that each get their share.
+"""CPUs, the BLAS thread count, worker processes that each get their share, and
+the C allocator's thresholds.
 
 OpenBLAS's idle threads spin, so processes or threads that each drive a full
 set of BLAS threads take the cores from one another. Both are given their
@@ -64,6 +65,32 @@ def hold_blas_threads(threads: int):
         yield
     finally:
         set_blas_threads(saved)
+
+
+# glibc mallopt parameters, and the top of glibc's own dynamic range for each
+# on 64-bit: it raises the mmap threshold to the size of a freed mapped block,
+# up to 32 MB, and the trim threshold to twice that
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD, TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def keep_freed_memory() -> None:
+    """Let malloc keep the memory a training step frees for the next step.
+
+    A step frees its whole graph before the next one starts. From glibc's
+    starting thresholds, malloc gives much of it back to the OS after each
+    step and the next step faults it in again page by page: on a 2-vCPU VM
+    a 2-epoch default teacher run took 349,000 minor faults, against 5,000
+    when the previous step's graph was still held, and a fifth more time.
+    This sets both thresholds at once to the top of the range glibc would
+    raise them to itself. It holds for the whole process; where the C
+    library has no `mallopt`, it does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def process_pool(workers: int):

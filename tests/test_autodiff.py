@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, gradient oracles, and graph invariants."""
 
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -250,6 +251,55 @@ class TestBackward:
         ids = [id(n) for n in order]
         assert len(ids) == len(set(ids))
         assert id(loss) in ids and id(x) in ids and id(y) in ids
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 4, 4, 3)))
+        w = Tensor(rng.normal(size=(3, 3, 3, 5)), requires_grad=True)
+        gamma = Tensor(np.ones(5), requires_grad=True)
+        beta = Tensor(np.zeros(5), requires_grad=True)
+        slope = Tensor(np.full(5, 0.25), requires_grad=True)
+        y, _, _ = ad.batch_norm(ad.conv2d_3x3(x, w), gamma, beta, 1e-5)
+        loss = (ad.prelu(y, slope) ** 2).mean()
+        nodes = topo_order(loss)
+        interior = [n for n in nodes if n._parents]
+        assert len(interior) == 5  # conv, batch norm, prelu, square, mean
+        loss.backward()
+        for node in interior:
+            assert node._parents == () and node.grad is None
+            assert node._backward.__closure__ is None  # holds no saved array
+        assert all(leaf.grad is not None for leaf in (w, gamma, beta, slope))
+        assert x.grad is None
+
+    def test_conv_columns_die_in_backward(self):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(2, 4, 4, 3)))
+        w = Tensor(rng.normal(size=(3, 3, 3, 5)), requires_grad=True)
+        out = ad.conv2d_3x3(x, w)
+        saved = [c.cell_contents for c in out._backward.__closure__]
+        columns = [a for a in saved if isinstance(a, np.ndarray) and a.shape == (2 * 4 * 4, 9 * 3)]
+        assert len(columns) == 1
+        ref = weakref.ref(columns[0])
+        del saved, columns
+        loss = out.sum()
+        assert ref() is not None
+        loss.backward()
+        assert ref() is None
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="already used"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+    def test_backward_through_a_used_shared_node_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        with pytest.raises(ContractError, match="already used"):
+            (y * 2.0).sum().backward()
 
     def test_backward_bitwise_deterministic(self):
         def run():

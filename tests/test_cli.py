@@ -363,6 +363,33 @@ class TestCompare:
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "seed0").exists()
 
+    def test_dead_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from spherekd import engine
+
+        class DeadPool:
+            """A pool whose worker died: every result raises, as the real pool's do."""
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+                yield
+
+        monkeypatch.setattr(engine, "process_pool", lambda workers: DeadPool())
+        out = tmp_path / "x"
+        code = run_cli("compare", *toy_args(out), "--seeds", "0,1", "--parallel", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("worker failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
 
 class TestGradCheck:
     def test_fresh_build_passes(self, capsys):

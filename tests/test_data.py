@@ -117,6 +117,21 @@ class TestGeneratorMatchesPerClassLoop:
         monkeypatch.setattr(data, "RENDER_CHUNK", chunk)
         self.assert_matches_reference({})
 
+    @pytest.mark.parametrize(
+        "n, min_last, bounds",
+        [
+            (0, 2, [0]),
+            (1, 2, [0, 1]),
+            (64, 2, [0, 32, 64]),
+            (65, 2, [0, 32, 65]),
+            (66, 2, [0, 32, 64, 66]),
+            (47, 16, [0, 47]),
+            (48, 16, [0, 32, 48]),
+        ],
+    )
+    def test_chunk_bounds_join_a_short_last_chunk(self, n, min_last, bounds):
+        assert data.chunk_bounds(n, 32, min_last) == bounds
+
     @staticmethod
     def assert_matches_reference(kw):
         from spherekd.rng import substream

@@ -322,6 +322,19 @@ class TestPoolPath:
         assert blas_seen == [1, 1]
         assert threaded.tobytes() == sequential.tobytes()
 
+    def test_part_ending_in_one_row_bitwise_equal_to_sequential(self, monkeypatch):
+        # two threads split 66 rows into parts of 33 and embed them 32 rows at
+        # a time, so each part ends in one row, which numpy multiplies by gemv
+        arch = ArchConfig()
+        net = StagedNetwork(arch, arch.teacher_channels, substream(0, "teacher-init"))
+        side = arch.input_size
+        images = np.random.default_rng(2).normal(size=(66, side, side, arch.in_channels))
+        sequential = extract_embeddings(net, images)
+        started = threads_from_8_rows(monkeypatch)
+        threaded = extract_embeddings(net, images)
+        assert started == [2]
+        assert threaded.tobytes() == sequential.tobytes()
+
     @parallel.hold_blas_threads(2)  # so that a count left at one shows
     def test_failures_raise_and_restore_blas_threads_and_grad(self, monkeypatch):
         prior = parallel.blas_threads()
