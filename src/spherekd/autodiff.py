@@ -15,9 +15,10 @@ Design notes:
     closures and no saved activations alive.
   * A training unit of the networks is three ops, each one graph node: the
     3x3 conv is one im2col matrix product per pass over the taps that read
-    real pixels, and batch norm has its closed-form backward. A unit of a
-    network that no longer changes is one op, `conv_unit`, with eval-mode
-    batch norm folded into the conv.
+    real pixels, and batch norm, which normalizes with batch statistics, has
+    its closed-form backward. A unit of a network that no longer changes is
+    one op, `conv_unit`, with eval-mode batch norm folded into the conv:
+    that is the only eval-mode batch norm.
 
 Only the operations defined here form the differentiable surface; network
 layers and losses are compositions of them.
@@ -474,19 +475,15 @@ def conv_unit(
 
 
 def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    eps: float,
-    running: tuple[np.ndarray, np.ndarray] | None = None,
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Per-channel (last axis) normalization, then scale by gamma, shift by beta.
 
-    With `running` None the statistics are the batch mean and biased variance
-    over every non-channel axis, and the gradient flows through them in the
-    closed form of Ioffe & Szegedy (2015). With `running` = (mean, var) those
-    fixed estimates normalize, which makes the op affine in x. Returns the
-    output and the (mean, var) that normalized it.
+    The statistics are the batch mean and biased variance over every
+    non-channel axis, and the gradient flows through them in the closed form
+    of Ioffe & Szegedy (2015). Returns the output and the (mean, var) that
+    normalized it. Eval mode, which normalizes with running estimates, exists
+    only folded into `conv_unit`.
     """
     x, gamma, beta = Tensor._lift(x), Tensor._lift(gamma), Tensor._lift(beta)
     channels = x.shape[-1]
@@ -497,24 +494,6 @@ def batch_norm(
         )
     axes = tuple(range(x.ndim - 1))
     count = x.data.size // channels
-
-    if running is not None:
-        mean, var = running
-        std = np.sqrt(var + eps)
-        scale = gamma.data / std
-        out_data = x.data * scale
-        out_data += beta.data - mean * scale
-
-        def backward(g):
-            g2 = g.reshape(-1, channels)
-            _accumulate(x, g * scale)
-            if gamma.requires_grad:
-                xhat = (x.data.reshape(-1, channels) - mean) / std
-                _accumulate(gamma, (g2 * xhat).sum(axis=0))
-            if beta.requires_grad:
-                _accumulate(beta, g2.sum(axis=0))
-
-        return x._make(out_data, (x, gamma, beta), backward), mean, var
 
     mean = x.data.mean(axis=axes)
     centered = x.data - mean

@@ -184,7 +184,7 @@ def _fit(cfg: RunConfig, role: str, kind: str, teacher, modules, lambdas, images
             teacher_out = (feats, Tensor(emb_cache[idx]))
         total, parts = composite_loss(
             Tensor(images[idx]), labels[idx], teacher, net, transforms, head, kind,
-            lambdas, train=True, teacher_out=teacher_out,
+            lambdas, teacher_out=teacher_out,
         )
         try:
             check_finite(total, "loss")

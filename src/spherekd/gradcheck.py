@@ -206,20 +206,7 @@ def _case_batchnorm_train(rng):
     x = Tensor(rng.normal(size=(4, 2, 2, 3)), requires_grad=True)
     # weight per position, otherwise the x-gradient is identically zero
     w = Tensor(rng.normal(size=(4, 2, 2, 3)))
-    return [x, bn.gamma, bn.beta], lambda: (bn.forward(x, train=True) * w).mean()
-
-
-def _case_batchnorm_eval(rng):
-    from .nets import BatchNorm
-
-    bn = BatchNorm(3)
-    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
-    bn.beta.data[:] = rng.normal(size=3)
-    bn.running_mean = rng.normal(size=3)
-    bn.running_var = rng.uniform(0.5, 2.0, size=3)
-    x = Tensor(rng.normal(size=(4, 2, 2, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 2, 2, 3)))
-    return [x, bn.gamma, bn.beta], lambda: (bn.forward(x, train=False) * w).mean()
+    return [x, bn.gamma, bn.beta], lambda: (bn.forward(x) * w).mean()
 
 
 def _case_classifier_normalized(rng):
@@ -268,62 +255,28 @@ def _tiny_pair(rng):
     return teacher, student, transforms
 
 
-def _case_intermediate_loss(rng):
-    from .losses import intermediate_angular_loss
+def _composite_case(kind: str, mode: str, lambda_n: float):
+    """A case for `composite_loss` of `kind` against a tiny frozen teacher."""
 
-    teacher, student, transforms = _tiny_pair(rng)
-    x = Tensor(rng.normal(size=(4, 8, 8, 1)))
-    feats_t, _ = teacher.forward(x, train=False)
-    feats_s, _ = student.forward(x, train=False)
-    f_s = Tensor(feats_s[0].data.copy(), requires_grad=True)
-    leaves = [f_s, transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
-    return leaves, lambda: intermediate_angular_loss(
-        teacher, 1, feats_t[0], f_s, transforms[0], train=True
-    )
+    def build_case(rng):
+        from .losses import build_lambda_schedule, composite_loss
+        from .nets import ClassifierHead, parameters
 
+        teacher, student, transforms = _tiny_pair(rng)
+        head = ClassifierHead(3, 3, mode=mode, scale=16.0, rng=rng)
+        schedule = build_lambda_schedule(lambda_n, 2)
+        x = Tensor(rng.normal(size=(4, 8, 8, 1)))
+        labels = rng.integers(0, 3, size=4)
+        leaves = list(parameters(student).values())
+        leaves += [transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
+        leaves.append(head.weight)
 
-def _case_composite_loss(rng):
-    from .losses import build_lambda_schedule, composite_loss
-    from .nets import ClassifierHead, parameters
+        def build():
+            return composite_loss(x, labels, teacher, student, transforms, head, kind, schedule)[0]
 
-    teacher, student, transforms = _tiny_pair(rng)
-    head = ClassifierHead(3, 3, mode="normalized", scale=16.0, rng=rng)
-    schedule = build_lambda_schedule(1.0, 2)
-    x = Tensor(rng.normal(size=(4, 8, 8, 1)))
-    labels = rng.integers(0, 3, size=4)
-    leaves = list(parameters(student).values())
-    leaves += [transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
-    leaves.append(head.weight)
+        return leaves, build
 
-    def build():
-        total, _ = composite_loss(
-            x, labels, teacher, student, transforms, head, "angular", schedule, train=True
-        )
-        return total
-
-    return leaves, build
-
-
-def _case_composite_loss_l2(rng):
-    from .losses import build_lambda_schedule, composite_loss
-    from .nets import ClassifierHead, parameters
-
-    teacher, student, transforms = _tiny_pair(rng)
-    head = ClassifierHead(3, 3, mode="plain", rng=rng)
-    schedule = build_lambda_schedule(0.001, 2)
-    x = Tensor(rng.normal(size=(4, 8, 8, 1)))
-    labels = rng.integers(0, 3, size=4)
-    leaves = list(parameters(student).values())
-    leaves += [transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
-    leaves.append(head.weight)
-
-    def build():
-        total, _ = composite_loss(
-            x, labels, teacher, student, transforms, head, "l2", schedule, train=True
-        )
-        return total
-
-    return leaves, build
+    return build_case
 
 
 CASES: list[CheckCase] = [
@@ -344,13 +297,11 @@ CASES: list[CheckCase] = [
     CheckCase("cosine", "nets", _case_cosine),
     CheckCase("softmax-cross-entropy", "nets", _case_softmax_ce),
     CheckCase("batchnorm-train", "nets", _case_batchnorm_train),
-    CheckCase("batchnorm-eval", "nets", _case_batchnorm_eval),
     CheckCase("classifier-normalized", "nets", _case_classifier_normalized),
     CheckCase("angular-distill-loss", "losses", _case_angular_loss),
     CheckCase("l2-distill-loss", "losses", _case_l2_loss),
-    CheckCase("intermediate-angular-loss", "losses", _case_intermediate_loss),
-    CheckCase("composite-loss-angular", "losses", _case_composite_loss),
-    CheckCase("composite-loss-l2", "losses", _case_composite_loss_l2),
+    CheckCase("composite-loss-angular", "losses", _composite_case("angular", "normalized", 1.0)),
+    CheckCase("composite-loss-l2", "losses", _composite_case("l2", "plain", 0.001)),
 ]
 
 

@@ -1,11 +1,13 @@
 """Objectives: classification, direction-matching distillation, and baselines.
 
 The distillation losses compare teacher and student features on the unit
-hypersphere. The final-stage loss penalizes (1 - cos theta)^2 between the two
-embeddings; intermediate student features are first lifted to teacher width,
-then judged by how the frozen teacher tail would embed them. An exact-match
-squared-distance baseline is kept for comparison; it differs from the angular
-loss only in the distance function.
+hypersphere. `angular_distill_loss` penalizes (1 - cos theta)^2 between two
+embeddings. `composite_loss` applies it at the final stage to the two
+embeddings and, at each intermediate stage, to the teacher's embedding and the
+frozen teacher tail's embedding of the student feature lifted to teacher
+width; that loop is the only tail path. An exact-match squared-distance
+baseline is kept for comparison; it differs from the angular loss only in the
+distance function.
 """
 
 from __future__ import annotations
@@ -64,27 +66,6 @@ def l2_distill_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     return per_sample.mean()
 
 
-def intermediate_angular_loss(
-    teacher: StagedNetwork,
-    stage: int,
-    teacher_feat: Tensor,
-    student_feat: Tensor,
-    transform: StudentTransform,
-    train: bool = True,
-) -> Tensor:
-    """Angular loss between teacher-tail embeddings of both stage-i features.
-
-    The student feature is lifted to teacher width by `transform`, then both
-    features are pushed through the frozen teacher blocks i+1..n and the head.
-    Gradients reach only the student feature and the transform parameters.
-    """
-    if transform.stage != stage:
-        raise ConfigError(f"transform is for stage {transform.stage}, not {stage}")
-    e_teacher = teacher.tail(stage, Tensor._lift(teacher_feat).detach())
-    e_student = teacher.tail(stage, transform.forward(student_feat, train))
-    return angular_distill_loss(e_teacher, e_student)
-
-
 def composite_loss(
     batch,
     labels,
@@ -94,18 +75,18 @@ def composite_loss(
     head: ClassifierHead,
     kind: str,
     lambdas: tuple[float, ...],
-    train: bool = True,
     teacher_out: tuple[list[Tensor], Tensor] | None = None,
 ) -> tuple[Tensor, dict[str, float]]:
     """Classification loss plus `lambdas`-weighted per-stage distillation terms.
 
-    kind "none" ignores the teacher entirely. kind "l2" compares transformed
-    stage features by squared distance; kind "angular" routes intermediate
-    features through the teacher tail and compares directions. Stage n always
-    compares the d-dim embeddings. `teacher_out` may carry precomputed
-    eval-mode teacher features of stages 1..n-1 (the ones read) and the
-    embedding for the batch; for the tail comparison the teacher's own
-    stage-i tail embedding is its final embedding, so the cached value is
+    The student and its transforms run in train mode, the teacher folded
+    (eval mode). kind "none" ignores the teacher entirely. kind "l2" compares
+    transformed stage features by squared distance; kind "angular" routes
+    intermediate features through the teacher tail and compares directions.
+    Stage n always compares the d-dim embeddings. `teacher_out` may carry
+    precomputed eval-mode teacher features of stages 1..n-1 (the ones read)
+    and the embedding for the batch; for the tail comparison the teacher's
+    own stage-i tail embedding is its final embedding, so the cached value is
     reused unchanged.
 
     Returns the total loss tensor and the unweighted value of every term.
@@ -113,7 +94,7 @@ def composite_loss(
     if kind not in DISTILL_KINDS:
         raise ConfigError(f"distill kind must be one of {DISTILL_KINDS}, got {kind!r}")
     batch = Tensor._lift(batch)
-    feats_s, emb_s = student.forward(batch, train=train)
+    feats_s, emb_s = student.forward(batch)
     cls = ad.softmax_cross_entropy(head.logits(emb_s), labels)
     if cls.ndim > 0:
         cls = cls.mean()
@@ -127,17 +108,17 @@ def composite_loss(
     if len(lambdas) != n:
         raise ConfigError(f"{len(lambdas)} distillation weights for {n} stages")
     if teacher_out is None:
-        feats_t, emb_t = teacher.forward(batch, train=False)
+        feats_t, emb_t = teacher.folded().forward(batch)
     else:
         feats_t, emb_t = teacher_out
 
     total = cls
     for i in range(1, n):
+        lifted = transforms[i - 1].forward(feats_s[i - 1])
         if kind == "angular":
-            e_s = teacher.tail(i, transforms[i - 1].forward(feats_s[i - 1], train))
-            term = angular_distill_loss(emb_t, e_s)
+            term = angular_distill_loss(emb_t, teacher.tail(i, lifted))
         else:
-            term = l2_distill_loss(feats_t[i - 1], transforms[i - 1].forward(feats_s[i - 1], train))
+            term = l2_distill_loss(feats_t[i - 1], lifted)
         parts[f"stage_{i}"] = term.item()
         total = total + lambdas[i - 1] * term
     if kind == "angular":

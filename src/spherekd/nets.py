@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
 from .rng import substream
 
 
@@ -57,11 +57,11 @@ class ArchConfig:
 
 
 class BatchNorm:
-    """Per-channel batch normalization over all non-channel axes.
+    """Per-channel batch normalization over all non-channel axes, in train mode.
 
-    Train mode normalizes with batch statistics and updates the running
-    estimates; eval mode normalizes with the running estimates. Variance is
-    the biased estimator in both modes.
+    Each forward normalizes with the batch statistics (biased variance) and
+    updates the running estimates. Eval mode, which normalizes with the
+    running estimates, runs only folded into a FoldedUnit.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
@@ -72,10 +72,7 @@ class BatchNorm:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        if not train:
-            running = (self.running_mean, self.running_var)
-            return ad.batch_norm(x, self.gamma, self.beta, self.eps, running)[0]
+    def forward(self, x: Tensor) -> Tensor:
         out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps)
         # in place, so that the buffers a network lists keep their identity
         m = self.momentum
@@ -102,7 +99,7 @@ class ConvUnit:
     def forward(self, x: Tensor) -> Tensor:
         """Train mode; in eval mode the unit runs as a FoldedUnit."""
         y = ad.conv2d_3x3(x, self.weight, stride=self.stride)
-        y = self.bn.forward(y, train=True)
+        y = self.bn.forward(y)
         return ad.prelu(y, self.slope)
 
 
@@ -181,13 +178,15 @@ class StagedNetwork:
             ]
         return FoldedNetwork(self, units)
 
-    def forward(self, batch: Tensor, train: bool = False) -> tuple[list[Tensor], Tensor]:
-        """All stage features F_1..F_n plus the embedding of the last one.
+    def forward(self, batch: Tensor) -> tuple[list[Tensor], Tensor]:
+        """All stage features F_1..F_n plus the embedding of the last one, in train mode.
 
-        Eval mode runs the units of `folded()`.
+        Every batch norm updates its running estimates. Eval mode is
+        `folded().forward`. A frozen network only runs folded: its folded
+        units would no longer match its values, so this raises ContractError.
         """
-        if not train:
-            return self.folded().forward(batch)
+        if self._folded_units is not None:
+            raise ContractError("a frozen network runs only in eval mode: use folded().forward")
         return self._run(Tensor._lift(batch), [block.units for block in self.blocks])
 
     def _run(self, x: Tensor, stages: list[list]) -> tuple[list[Tensor], Tensor]:
@@ -260,7 +259,10 @@ class FoldedNetwork:
 
 
 class StudentTransform:
-    """Lift a student stage feature to teacher width: 1x1 conv then batch norm."""
+    """Lift a student stage feature to teacher width: 1x1 conv then batch norm.
+
+    Only the training loss reads a transform, so it runs in train mode only.
+    """
 
     def __init__(self, stage: int, c_student: int, c_teacher: int, rng: np.random.Generator):
         self.stage = stage
@@ -272,14 +274,14 @@ class StudentTransform:
         )
         self.bn = BatchNorm(c_teacher)
 
-    def forward(self, feature: Tensor, train: bool) -> Tensor:
+    def forward(self, feature: Tensor) -> Tensor:
         feature = Tensor._lift(feature)
         if feature.shape[-1] != self.c_student:
             raise DimensionError(
                 f"stage {self.stage}: transform expects {self.c_student} channels, "
                 f"got {feature.shape}"
             )
-        return self.bn.forward(ad.conv2d_1x1(feature, self.proj), train)
+        return self.bn.forward(ad.conv2d_1x1(feature, self.proj))
 
     def state(self) -> dict[str, Tensor | np.ndarray]:
         prefix = f"transform{self.stage}."
@@ -348,8 +350,9 @@ def parameters(*modules) -> dict[str, Tensor]:
 def freeze(*modules) -> None:
     """Stop gradients into every parameter, and fold each network once.
 
-    A frozen network is a fixed function: its eval-mode passes run the units
-    folded here, so none of its values may change after.
+    A frozen network is a fixed function: it runs only as the units folded
+    here, so none of its values may change after, and its train-mode
+    `forward` raises.
     """
     for p in parameters(*modules).values():
         p.requires_grad = False

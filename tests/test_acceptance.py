@@ -23,10 +23,10 @@ from spherekd.evaluate import rank1_identification, verification_accuracy
 from spherekd.losses import (
     angular_distill_loss,
     build_lambda_schedule,
-    intermediate_angular_loss,
+    composite_loss,
     l2_distill_loss,
 )
-from spherekd.nets import ArchConfig, StagedNetwork, build_reference_pair, freeze
+from spherekd.nets import ArchConfig, ClassifierHead, StagedNetwork, build_reference_pair, freeze
 from spherekd.rng import substream
 
 from .conftest import make_toy_config
@@ -202,7 +202,7 @@ def test_criterion_08_composition_invariant():
     split_ok = True
     for _ in range(10):
         x = Tensor(rng.normal(size=(2, 16, 16, 1)))
-        feats, emb = net.forward(x, train=False)
+        feats, emb = net.folded().forward(x)
         for split in range(1, net.num_stages + 1):
             y = feats[split - 1]
             for units in net.folded().stages[split:]:
@@ -216,23 +216,25 @@ def test_criterion_08_composition_invariant():
     )
     teacher, student, transforms = build_reference_pair(tiny, seed=6)
     freeze(teacher)
+    head = ClassifierHead(4, tiny.embedding_dim, rng=substream(6, "cls"))
     x = Tensor(rng.normal(size=(3, 8, 8, 1)))
-    feats_t, _ = teacher.forward(x)
-    feats_s, _ = student.forward(x)
+    labels = rng.integers(0, 4, size=3)
     n = teacher.num_stages
-    via_intermediate = intermediate_angular_loss(
-        teacher, n, feats_t[-1], feats_s[-1], transforms[-1], train=False
-    ).item()
-    e_t = teacher.tail(n, feats_t[-1].detach())
-    e_s = teacher.tail(n, transforms[-1].forward(feats_s[-1], train=False))
-    via_angular = angular_distill_loss(e_t, e_s).item()
-    stage_n_ok = abs(via_intermediate - via_angular) <= 1e-12
+    lambdas = build_lambda_schedule(1.0, n)
+    _, parts = composite_loss(x, labels, teacher, student, transforms, head, "angular", lambdas)
+    feats_t, _ = teacher.folded().forward(x)
+    feats_s, _ = student.forward(x)
+    stage_ok = True
+    for i in range(1, n):
+        e_t = teacher.tail(i, feats_t[i - 1])
+        e_s = teacher.tail(i, transforms[i - 1].forward(feats_s[i - 1]))
+        stage_ok &= abs(parts[f"stage_{i}"] - angular_distill_loss(e_t, e_s).item()) <= 1e-12
     report(
         8,
         "stage-split forward is bitwise equal to full forward (10 inputs, all "
-        "splits); stage-n intermediate loss equals angular loss on embeddings "
-        "within 1e-12",
-        split_ok and stage_n_ok,
+        "splits); each stage-i angular term of the composite loss (i < n) equals "
+        "the angular loss on both features' teacher-tail embeddings within 1e-12",
+        split_ok and stage_ok,
     )
 
 

@@ -508,5 +508,5 @@ class TestEvalPassesBuildNoGraph:
 
         # the same forward outside those passes does record a graph
         made.clear()
-        net.forward(Tensor(images[:4]), train=False)
+        net.folded().forward(Tensor(images[:4]))
         assert any(t.requires_grad for t in made)

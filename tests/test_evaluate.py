@@ -355,7 +355,7 @@ class TestPoolPath:
         for call in calls:
             call()
             assert parallel.blas_threads() == prior
-            assert net.forward(Tensor(ds.images[:2]), train=False)[1].requires_grad
+            assert net.folded().forward(Tensor(ds.images[:2]))[1].requires_grad
         assert started == [2, 2, 2]
 
     def test_no_thread_at_one_blas_thread(self, monkeypatch):

@@ -10,7 +10,6 @@ from spherekd.losses import (
     angular_distill_loss,
     build_lambda_schedule,
     composite_loss,
-    intermediate_angular_loss,
     l2_distill_loss,
 )
 from spherekd.nets import ArchConfig, ClassifierHead, build_reference_pair, freeze, parameters
@@ -134,80 +133,51 @@ class TestL2DistillLoss:
 
 
 class TestIntermediateAngularLoss:
-    def test_equal_transformed_features_give_zero(self):
-        teacher, student, transforms = make_pair(seed=1)
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-        feats_t, _ = teacher.forward(x)
-        # student feature that the transform maps exactly onto the teacher's:
-        # use the teacher feature itself with an identity transform
-        arch_eq = ArchConfig(
-            input_size=8, in_channels=1, num_stages=2, teacher_channels=(4, 6),
-            student_channels=(4, 6), block_depth=1, embedding_dim=4,
-        )
-        teacher_eq, _, transforms_eq = build_reference_pair(arch_eq, seed=2)
-        freeze(teacher_eq)
-        tr = transforms_eq[0]
-        tr.proj.data = np.eye(4)
-        feats, _ = teacher_eq.forward(x)
-        loss = intermediate_angular_loss(teacher_eq, 1, feats[0], feats[0], tr, train=False)
-        # eval-mode bn rescales by 1/sqrt(1+eps); direction is untouched
-        assert loss.item() <= 1e-10
+    """The stage-i angular terms of composite_loss, i < n: the one tail path."""
+
+    def _loss(self, seed, sched=(1.0, 1.0)):
+        teacher, student, transforms = make_pair(seed)
+        head = ClassifierHead(4, ARCH.embedding_dim, rng=substream(seed, "cls"))
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 8, 8, 1)))
+        labels = rng.integers(0, 4, size=3)
+        total, parts = composite_loss(x, labels, teacher, student, transforms, head, "angular", sched)
+        return teacher, student, transforms, x, total, parts
 
     def test_stage_n_reduces_to_angular_on_head_outputs(self):
-        teacher, student, transforms = make_pair(seed=3)
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(3, 8, 8, 1)))
-        feats_t, _ = teacher.forward(x)
-        feats_s, _ = student.forward(x)
+        teacher, student, _, x, _, parts = self._loss(seed=3)
         n = teacher.num_stages
-        loss = intermediate_angular_loss(
-            teacher, n, feats_t[-1], feats_s[-1], transforms[-1], train=False
-        )
-        e_t = teacher.tail(n, feats_t[-1].detach())
-        e_s = teacher.tail(n, transforms[-1].forward(feats_s[-1], train=False))
-        direct = angular_distill_loss(e_t, e_s)
-        assert abs(loss.item() - direct.item()) <= 1e-12
+        feats_t, _ = teacher.folded().forward(x)
+        feats_s, _ = student.forward(x)
+        direct = angular_distill_loss(teacher.tail(n, feats_t[-1]), student.head(feats_s[-1]))
+        assert abs(parts[f"stage_{n}"] - direct.item()) <= 1e-12
 
     def test_matches_recomposition_oracle(self):
         # independent route: plain numpy over the tail outputs
-        teacher, student, transforms = make_pair(seed=4)
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-        feats_t, _ = teacher.forward(x)
-        feats_s, _ = student.forward(x)
+        teacher, student, transforms, x, _, parts = self._loss(seed=4)
         stage = 1
-        loss = intermediate_angular_loss(
-            teacher, stage, feats_t[0], feats_s[0], transforms[0], train=True
-        )
-
-        e_t = teacher.tail(stage, feats_t[0].detach()).data
-        e_s = teacher.tail(stage, transforms[0].forward(feats_s[0], train=True)).data
+        feats_t, _ = teacher.folded().forward(x)
+        feats_s, _ = student.forward(x)
+        e_t = teacher.tail(stage, feats_t[0]).data
+        e_s = teacher.tail(stage, transforms[0].forward(feats_s[0])).data
         u = e_t / np.linalg.norm(e_t, axis=1, keepdims=True)
         v = e_s / np.linalg.norm(e_s, axis=1, keepdims=True)
         cos = np.clip(np.sum(u * v, axis=1), -1.0, 1.0)
         expected = float(np.mean((1.0 - cos) ** 2))
-        assert abs(loss.item() - expected) <= 1e-12
-
-    def test_wrong_stage_transform_rejected(self):
-        teacher, student, transforms = make_pair(seed=5)
-        x = Tensor(np.random.default_rng(14).normal(size=(2, 8, 8, 1)))
-        feats_t, _ = teacher.forward(x)
-        feats_s, _ = student.forward(x)
-        with pytest.raises(ConfigError):
-            intermediate_angular_loss(teacher, 2, feats_t[1], feats_s[1], transforms[0])
+        assert abs(parts[f"stage_{stage}"] - expected) <= 1e-12
 
     def test_gradients_reach_student_side_only(self):
-        teacher, student, transforms = make_pair(seed=6)
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-        feats_t, _ = teacher.forward(x)
-        f_s = Tensor(rng.normal(size=(2, 4, 4, 2)), requires_grad=True)
-        loss = intermediate_angular_loss(teacher, 1, feats_t[0], f_s, transforms[0], train=True)
-        loss.backward()
-        assert f_s.grad is not None
-        assert transforms[0].proj.grad is not None
-        assert all(p.grad is None for p in parameters(teacher).values())
+        # with and without the stage-1 term; the last transform is never read
+        grads = {}
+        for lam in (1.0, 0.0):
+            teacher, student, transforms, _, total, _ = self._loss(seed=6, sched=(lam, 0.0))
+            total.backward()
+            assert all(p.grad is None for p in parameters(teacher).values())
+            assert all(p.grad is None for p in parameters(transforms[-1]).values())
+            grads[lam] = (transforms[0].proj.grad, student.blocks[0].units[0].weight.grad)
+        assert np.any(grads[1.0][0]) and not np.any(grads[0.0][0])
+        # through the transform, the stage-1 term reaches the student's stage-1 feature
+        assert not np.array_equal(grads[1.0][1], grads[0.0][1])
 
 
 class TestLambdaSchedule:
@@ -243,10 +213,8 @@ class TestCompositeLoss:
 
         teacher, student, transforms, head, x, labels = self._setup()
         sched = build_lambda_schedule(1.0, 2)
-        total, parts = composite_loss(
-            x, labels, None, student, transforms, head, "none", sched, train=False
-        )
-        _, emb = student.forward(x, train=False)
+        total, parts = composite_loss(x, labels, None, student, transforms, head, "none", sched)
+        _, emb = student.forward(x)
         expected = softmax_cross_entropy(head.logits(emb), labels).mean().item()
         assert total.item() == expected
         assert set(parts) == {"cls"}
@@ -255,18 +223,14 @@ class TestCompositeLoss:
         teacher, student, transforms, head, x, labels = self._setup(seed=8)
         zero = (0.0, 0.0)
         for kind in ("l2", "angular"):
-            total, parts = composite_loss(
-                x, labels, teacher, student, transforms, head, kind, zero, train=False
-            )
+            total, parts = composite_loss(x, labels, teacher, student, transforms, head, kind, zero)
             assert total.item() == pytest.approx(parts["cls"], abs=1e-15)
 
     def test_parts_recombine_to_total(self):
         teacher, student, transforms, head, x, labels = self._setup(seed=9)
         sched = build_lambda_schedule(1.0, 2)
         for kind in ("l2", "angular"):
-            total, parts = composite_loss(
-                x, labels, teacher, student, transforms, head, kind, sched, train=True
-            )
+            total, parts = composite_loss(x, labels, teacher, student, transforms, head, kind, sched)
             recombined = parts["cls"] + sum(
                 sched[i - 1] * parts[f"stage_{i}"] for i in (1, 2)
             )
@@ -283,44 +247,18 @@ class TestCompositeLoss:
                 assert len(feats) == ARCH.num_stages - 1  # stages 1..n-1, the ones read
                 feats = [Tensor(f) for f in feats]
             args = (x, labels, teacher, student, transforms, head, kind, sched)
-            live, _ = composite_loss(*args, train=False)
-            cached, _ = composite_loss(*args, train=False, teacher_out=(feats, Tensor(emb)))
+            live, _ = composite_loss(*args)
+            cached, _ = composite_loss(*args, teacher_out=(feats, Tensor(emb)))
             assert cached.item() == live.item()
-
-    def test_channel_matched_copy_has_zero_distill_parts(self):
-        # student widths equal teacher widths, weights copied, transforms identity
-        arch_eq = ArchConfig(
-            input_size=8, in_channels=1, num_stages=2, teacher_channels=(4, 6),
-            student_channels=(4, 6), block_depth=1, embedding_dim=4,
-        )
-        teacher, student, transforms = build_reference_pair(arch_eq, seed=10)
-        freeze(teacher)
-        t_params = parameters(teacher)
-        for name, p in parameters(student).items():
-            p.data = t_params[name].data.copy()
-        for tr, width in zip(transforms, arch_eq.teacher_channels):
-            tr.proj.data = np.eye(width)
-        head = ClassifierHead(4, 4, rng=substream(10, "cls"))
-        rng = np.random.default_rng(16)
-        x = Tensor(rng.normal(size=(3, 8, 8, 1)))
-        labels = rng.integers(0, 4, size=3)
-        sched = build_lambda_schedule(1.0, 2)
-        total, parts = composite_loss(
-            x, labels, teacher, student, transforms, head, "angular", sched, train=False
-        )
-        assert parts["stage_1"] <= 1e-10
-        assert parts["stage_2"] <= 1e-10
 
     def test_composite_stage_parts_match_direct_intermediate_loss(self):
         teacher, student, transforms, head, x, labels = self._setup(seed=11)
         sched = build_lambda_schedule(1.0, 2)
-        total, parts = composite_loss(
-            x, labels, teacher, student, transforms, head, "angular", sched, train=False
-        )
-        feats_t, emb_t = teacher.forward(x, train=False)
-        feats_s, emb_s = student.forward(x, train=False)
-        direct_1 = intermediate_angular_loss(
-            teacher, 1, feats_t[0], feats_s[0], transforms[0], train=False
+        total, parts = composite_loss(x, labels, teacher, student, transforms, head, "angular", sched)
+        feats_t, emb_t = teacher.folded().forward(x)
+        feats_s, emb_s = student.forward(x)
+        direct_1 = angular_distill_loss(
+            teacher.tail(1, feats_t[0]), teacher.tail(1, transforms[0].forward(feats_s[0]))
         )
         direct_n = angular_distill_loss(emb_t, emb_s)
         assert abs(parts["stage_1"] - direct_1.item()) <= 1e-12
@@ -329,9 +267,7 @@ class TestCompositeLoss:
     def test_teacher_gets_no_gradients(self):
         teacher, student, transforms, head, x, labels = self._setup(seed=12)
         sched = build_lambda_schedule(1.0, 2)
-        total, _ = composite_loss(
-            x, labels, teacher, student, transforms, head, "angular", sched, train=True
-        )
+        total, _ = composite_loss(x, labels, teacher, student, transforms, head, "angular", sched)
         total.backward()
         assert all(p.grad is None for p in parameters(teacher).values())
         assert all(p.grad is not None for p in parameters(student).values())

@@ -5,7 +5,7 @@ import pytest
 
 from spherekd import autodiff as ad
 from spherekd.autodiff import Tensor
-from spherekd.errors import ConfigError, DimensionError
+from spherekd.errors import ConfigError, ContractError, DimensionError
 from spherekd.gradcheck import check_gradients
 from spherekd.nets import (
     ArchConfig,
@@ -43,7 +43,7 @@ class TestForwardAllStages:
         )
         net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
         x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 4, 1)))
-        feats, emb = net.forward(x)
+        feats, emb = net.folded().forward(x)
         assert len(feats) == 1
         direct = x
         for unit in net.folded().stages[0]:
@@ -53,14 +53,14 @@ class TestForwardAllStages:
     def test_head_of_last_feature_equals_embedding(self):
         net = tiny_teacher()
         x = Tensor(np.random.default_rng(1).normal(size=(3, 8, 8, 1)))
-        feats, emb = net.forward(x)
+        feats, emb = net.folded().forward(x)
         assert np.array_equal(net.head(feats[-1]).data, emb.data)
 
     def test_default_stage_spatial_dims(self):
         arch = ArchConfig()
         net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
         x = Tensor(np.random.default_rng(2).normal(size=(2, 16, 16, 1)))
-        feats, emb = net.forward(x)
+        feats, emb = net.folded().forward(x)
         sides = [f.shape[1] for f in feats]
         assert sides == [8, 4, 2, 1]
         assert [f.shape[3] for f in feats] == [32, 64, 128, 256]
@@ -68,15 +68,16 @@ class TestForwardAllStages:
 
     def test_bad_input_names_stage(self):
         net = tiny_teacher()
-        with pytest.raises(DimensionError, match="stage 1"):
-            net.forward(Tensor(np.zeros((2, 8, 8, 3))))
+        for forward in (net.forward, net.folded().forward):
+            with pytest.raises(DimensionError, match="stage 1"):
+                forward(Tensor(np.zeros((2, 8, 8, 3))))
 
     def test_stage_split_composability_bitwise(self):
         net = tiny_teacher()
         rng = np.random.default_rng(3)
         for trial in range(10):
             x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-            feats, emb = net.forward(x, train=False)
+            feats, emb = net.folded().forward(x)
             for split in range(1, net.num_stages + 1):
                 y = feats[split - 1]
                 for units in net.folded().stages[split:]:
@@ -90,14 +91,14 @@ class TestTeacherTail:
     def test_tail_at_last_stage_is_head(self):
         net = tiny_teacher()
         x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 8, 1)))
-        feats, emb = net.forward(x)
+        feats, emb = net.folded().forward(x)
         out = net.tail(net.num_stages, feats[-1])
         assert np.array_equal(out.data, emb.data)
 
     def test_tail_composition_identity_every_stage(self):
         net = tiny_teacher()
         x = Tensor(np.random.default_rng(5).normal(size=(3, 8, 8, 1)))
-        feats, emb = net.forward(x, train=False)
+        feats, emb = net.folded().forward(x)
         for stage in range(1, net.num_stages + 1):
             out = net.tail(stage, feats[stage - 1])
             assert np.array_equal(out.data, emb.data)
@@ -114,7 +115,7 @@ class TestTeacherTail:
         freeze(net)
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-        feats, _ = net.forward(x)
+        feats, _ = net.folded().forward(x)
         f = Tensor(feats[0].data.copy(), requires_grad=True)
         err = check_gradients(lambda: (net.tail(1, f) ** 2).mean(), [f])
         assert err < 1e-4
@@ -144,13 +145,12 @@ def randomized(net, seed):
 
 
 def unfolded_features(net, x):
-    """Eval-mode stage features by three ops per unit: conv, running-estimate batch norm, PReLU."""
+    """Eval-mode stage features unfolded: conv, running-estimate batch norm in Tensor ops, PReLU."""
     features = []
     for block in net.blocks:
         for unit in block.units:
-            bn = unit.bn
             y = ad.conv2d_3x3(x, unit.weight, stride=unit.stride)
-            y = ad.batch_norm(y, bn.gamma, bn.beta, bn.eps, (bn.running_mean, bn.running_var))[0]
+            y = composite_batch_norm(unit.bn, y, train=False)
             x = ad.prelu(y, unit.slope)
         features.append(x)
     return features
@@ -171,7 +171,7 @@ class TestFoldedUnits:
         x = Tensor(np.random.default_rng(batch).normal(size=(batch, 16, 16, 1)))
         reference = unfolded_features(net, x)
         ref_emb = net.head(reference[-1]).data
-        feats, emb = net.forward(x, train=False)
+        feats, emb = net.folded().forward(x)
         assert all(close(f.data, r.data) for f, r in zip(feats, reference))
         assert close(emb.data, ref_emb)
         for stage in range(1, net.num_stages + 1):
@@ -184,26 +184,45 @@ class TestFoldedUnits:
         freeze(net)
         assert net.folded().stages is net.folded().stages
 
+    def test_a_frozen_network_has_no_train_mode_forward(self):
+        net = tiny_teacher()
+        x = Tensor(np.random.default_rng(15).normal(size=(2, 8, 8, 1)))
+        net.forward(x)
+        freeze(net)
+        before = {k: v.copy() for k, v in state_arrays(net).items()}
+        with pytest.raises(ContractError, match="folded"):
+            net.forward(x)
+        after = state_arrays(net)
+        assert all(np.array_equal(after[k], v) for k, v in before.items())
+        net.folded().forward(x)
+
 
 class TestBatchNorm:
     def test_constant_batch_train_mode_gives_beta(self):
         bn = BatchNorm(3)
         bn.beta.data[:] = np.array([1.0, -2.0, 0.5])
         x = Tensor(np.full((4, 2, 2, 3), 7.0))
-        out = bn.forward(x, train=True)
+        out = bn.forward(x)
         np.testing.assert_allclose(
             out.data, np.broadcast_to(bn.beta.data, (4, 2, 2, 3)), atol=1e-12
         )
 
     def test_running_stats_updated_in_train_only(self):
+        # every forward is train mode and updates them; eval mode runs folded and reads them
         bn = BatchNorm(2, momentum=0.9)
         x = Tensor(np.random.default_rng(9).normal(size=(8, 1, 1, 2)) + 3.0)
-        before = bn.running_mean.copy()
-        bn.forward(x, train=False)
-        np.testing.assert_array_equal(bn.running_mean, before)
-        bn.forward(x, train=True)
-        expected = 0.9 * before + 0.1 * x.data.mean(axis=(0, 1, 2))
-        np.testing.assert_allclose(bn.running_mean, expected, atol=1e-12)
+        mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        for _ in range(2):
+            bn.forward(x)
+            mean = 0.9 * mean + 0.1 * x.data.mean(axis=(0, 1, 2))
+            var = 0.9 * var + 0.1 * x.data.var(axis=(0, 1, 2))
+            np.testing.assert_allclose(bn.running_mean, mean, atol=1e-12)
+            np.testing.assert_allclose(bn.running_var, var, atol=1e-12)
+        net = tiny_teacher()
+        net.forward(Tensor(np.random.default_rng(10).normal(size=(2, 8, 8, 1))))
+        before = {k: v.copy() for k, v in state_arrays(net).items()}
+        net.folded().forward(Tensor(np.random.default_rng(11).normal(size=(2, 8, 8, 1))))
+        assert all(np.array_equal(v, before[k]) for k, v in state_arrays(net).items())
 
 
 class TestNamedState:
@@ -230,14 +249,17 @@ class TestNamedState:
         arrays = state_arrays(net)
         x = Tensor(np.random.default_rng(14).normal(size=(4, 8, 8, 1)))
         before = arrays["net.block1.bn1.running_mean"].copy()
-        net.forward(x, train=True)
+        net.forward(x)
         bn = net.blocks[0].units[0].bn
         assert arrays["net.block1.bn1.running_mean"] is bn.running_mean
         assert not np.array_equal(bn.running_mean, before)
 
 
-def composite_batch_norm(bn, x, train):
-    """Batch norm built from elementwise Tensor ops, the reference for the fused op."""
+def composite_batch_norm(bn, x, train=True):
+    """Batch norm built from elementwise Tensor ops.
+
+    In train mode the reference for the fused op, in eval mode for the folded units.
+    """
     axes = tuple(range(x.ndim - 1))
     if train:
         mean = x.mean(axis=axes, keepdims=True)
@@ -253,8 +275,7 @@ def composite_batch_norm(bn, x, train):
 
 
 class TestBatchNormMatchesComposite:
-    @pytest.mark.parametrize("train", [True, False])
-    def test_values_gradients_and_running_stats(self, train):
+    def test_values_gradients_and_running_stats(self):
         rng = np.random.default_rng(40)
         fused, reference = BatchNorm(5), BatchNorm(5)
         for bn in (fused, reference):
@@ -267,7 +288,7 @@ class TestBatchNormMatchesComposite:
         results = []
         for bn, forward in ((fused, BatchNorm.forward), (reference, composite_batch_norm)):
             xt = Tensor(x.copy(), requires_grad=True)
-            out = forward(bn, xt, train)
+            out = forward(bn, xt)
             (out * g).sum().backward()
             results.append((out.data, xt.grad, bn.gamma.grad, bn.beta.grad))
         for got, ref in zip(*results):
@@ -278,20 +299,11 @@ class TestBatchNormMatchesComposite:
 
 
 class TestStudentTransform:
-    def test_identity_configuration(self):
-        # equal widths, identity projection, neutral bn in eval mode
-        tr = StudentTransform(1, 3, 3, substream(0, "tr"))
-        tr.proj.data = np.eye(3)
-        x = Tensor(np.random.default_rng(10).normal(size=(2, 4, 4, 3)))
-        out = tr.forward(x, train=False)
-        # eval-mode bn still divides by sqrt(1 + eps): identity up to 1e-5
-        np.testing.assert_allclose(out.data, x.data, rtol=1e-5, atol=1e-9)
-
     def test_constant_batch_train_mode_gives_beta(self):
         tr = StudentTransform(2, 2, 5, substream(1, "tr"))
         tr.bn.beta.data[:] = np.linspace(-1, 1, 5)
         x = Tensor(np.full((3, 2, 2, 2), 4.0))
-        out = tr.forward(x, train=True)
+        out = tr.forward(x)
         np.testing.assert_allclose(
             out.data, np.broadcast_to(tr.bn.beta.data, (3, 2, 2, 5)), atol=1e-12
         )
@@ -299,13 +311,13 @@ class TestStudentTransform:
     def test_shapes_and_channel_lift(self):
         tr = StudentTransform(1, 2, 4, substream(2, "tr"))
         x = Tensor(np.random.default_rng(11).normal(size=(3, 4, 4, 2)))
-        out = tr.forward(x, train=True)
+        out = tr.forward(x)
         assert out.shape == (3, 4, 4, 4)
 
     def test_channel_mismatch_names_stage(self):
         tr = StudentTransform(2, 3, 4, substream(3, "tr"))
         with pytest.raises(DimensionError, match="stage 2"):
-            tr.forward(Tensor(np.zeros((2, 4, 4, 5))), train=True)
+            tr.forward(Tensor(np.zeros((2, 4, 4, 5))))
 
 
 class TestClassifierHead:
@@ -356,9 +368,9 @@ class TestReferencePair:
         arch = ArchConfig()
         teacher, student, transforms = build_reference_pair(arch, seed=1)
         x = Tensor(np.random.default_rng(13).normal(size=(2, 16, 16, 1)))
-        feats_s, _ = student.forward(x)
+        feats_s, _ = student.folded().forward(x)
         for i, (tr, f) in enumerate(zip(transforms, feats_s)):
-            out = tr.forward(f, train=True)
+            out = tr.forward(f)
             assert out.shape[-1] == arch.teacher_channels[i]
             assert out.shape[1:3] == f.shape[1:3]  # spatial untouched
 
