@@ -157,8 +157,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def restore(targets: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
     """Copy each saved array into the target array of the same name.
 
-    Every target must have a saved array of its own shape; names the targets
-    do not list are ignored (an evaluation needs no distillation transforms).
+    Every target must have a saved array of its own shape. Names the targets
+    do not list are ignored: `classifier.weight`, which evaluation does not
+    read, and the `transform<i>.*` records that student checkpoints of
+    earlier versions hold.
     """
     for name, target in targets.items():
         if name not in saved:

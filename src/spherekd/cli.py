@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import atomic_open
@@ -86,8 +87,8 @@ def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.overrides:
         cfg = apply_overrides(cfg, args.overrides)
-    if getattr(args, "out", None):
-        cfg = apply_overrides(cfg, [f"output_dir={args.out}"])
+    if args.out is not None:
+        cfg = replace(cfg, output_dir=args.out)  # a path, verbatim: not parsed as YAML
     return cfg.validate()
 
 

@@ -85,6 +85,8 @@ class RunConfig:
             allowed = RANGES.get(name)
             if not _admits(value, default, allowed):
                 raise ConfigError(f"{name}: expected {_describe(default, allowed)}, got {value!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir: expected a non-empty string, got {self.output_dir!r}")
         self.arch.validate()
         if self.data.pairs_per_side % self.data.folds != 0:
             raise ConfigError("data.pairs_per_side must be divisible by data.folds")
@@ -204,7 +206,7 @@ def config_from_tree(tree: dict) -> RunConfig:
         if key == "seed":
             cfg.seed = value
         elif key == "output_dir":
-            cfg.output_dir = str(value)
+            cfg.output_dir = value
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be a mapping")

@@ -20,13 +20,14 @@ from .rng import substream
 
 @dataclass
 class SyntheticIdentityDataset:
+    """Rendered images and their class ids; the latent codes are not kept."""
+
     images: np.ndarray  # [N, size, size, 1], per-image zero mean / unit variance
     labels: np.ndarray  # [N] global class id
     train_classes: np.ndarray
     test_classes: np.ndarray
     distractor_classes: np.ndarray
     params: dict
-    latents: np.ndarray  # kept in memory for diagnostics only
 
     @property
     def num_samples(self) -> int:
@@ -110,8 +111,10 @@ def generate_dataset(
 
     Class ids are assigned contiguously: train classes first (so a train label
     doubles as the classifier index), then test classes, then one distractor
-    class per distractor sample. The arguments are not checked here:
-    `RunConfig.validate` bounds each `data.*` key.
+    class per distractor sample. Each chunk's latent codes are rendered and
+    then dropped: only the images and labels grow with the sample count. The
+    arguments are not checked here: `RunConfig.validate` bounds each `data.*`
+    key.
     """
     params = {
         "seed": int(seed),
@@ -141,7 +144,6 @@ def generate_dataset(
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), counts)
     n = labels.shape[0]
     noise_rng = substream(seed, "data-noise")
-    latents = np.empty((n, latent_dim))
     images = np.empty((n, image_size, image_size, 1))
     bounds = chunk_bounds(n, RENDER_CHUNK)
     for start, stop in zip(bounds, bounds[1:]):
@@ -149,7 +151,6 @@ def generate_dataset(
         noise = noise_rng.normal(size=(stop - start, latent_dim))
         z = prototypes[labels[rows]] + noise_sigma * noise
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        latents[rows] = z
         images[rows] = _render(z, w1, w2, image_size)
 
     return SyntheticIdentityDataset(
@@ -159,7 +160,6 @@ def generate_dataset(
         test_classes=np.arange(num_train_classes, first_distractor, dtype=np.int64),
         distractor_classes=np.arange(first_distractor, n_classes, dtype=np.int64),
         params=params,
-        latents=latents,
     )
 
 

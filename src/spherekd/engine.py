@@ -2,8 +2,8 @@
 
 A run is fully determined by its RunConfig. All randomness flows through named
 substreams of the master seed, metrics logs carry no timestamps, and
-checkpoints hold only the trained tensors and a short meta, so identical
-configs reproduce identical bytes.
+checkpoints hold only the trained network, its classifier and a short meta,
+so identical configs reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -212,8 +212,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
     Teacher and students share this scheme. A student differs only in width
     and in the distillation terms its loss adds, which need the frozen
     teacher and the transforms of stages 1..n-1 (the final stage compares
-    embeddings directly). `dataset`, if given, must be the config's own;
-    None generates it.
+    embeddings directly). The checkpoint holds the network and the
+    classifier, not the transforms. `dataset`, if given, must be the
+    config's own; None generates it.
     """
     cfg.validate()
     student = role == "student"
@@ -276,7 +277,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
     }
     if student:
         meta["kind"] = kind
-    ckpt = Checkpoint(fingerprint_arch(arch), state_arrays(*modules), meta)
+    ckpt = Checkpoint(fingerprint_arch(arch), state_arrays(net, head), meta)
     path = save_checkpoint(out / f"{stem}.ckpt", ckpt)
     return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
 

@@ -268,7 +268,7 @@ def _composite_case(kind: str, mode: str, lambda_n: float):
         x = Tensor(rng.normal(size=(4, 8, 8, 1)))
         labels = rng.integers(0, 3, size=4)
         leaves = list(parameters(student).values())
-        leaves += [transforms[0].proj, transforms[0].bn.gamma, transforms[0].bn.beta]
+        leaves += [transforms[0].proj, transforms[0].gamma, transforms[0].beta]
         leaves.append(head.weight)
 
         def build():

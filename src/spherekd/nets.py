@@ -1,10 +1,12 @@
 """Staged convolutional networks for teacher-student training.
 
-A network is an ordered list of stages (blocks). Each block downsamples
-spatially by exactly 2x and produces the stage feature F_i; a flatten+linear
-head maps the last stage feature to the embedding. Teacher and student share
-this structure and differ only in channel widths, so a per-stage 1x1
-projection (plus batch norm) can lift student features into teacher width.
+A network is an ordered list of stages, each a list of conv units. Each
+stage downsamples spatially by exactly 2x and produces the stage feature F_i;
+a flatten+linear head maps the last stage feature to the embedding. Teacher
+and student share this structure and differ only in channel widths, so a
+per-stage 1x1 projection (plus batch norm) can lift student features into
+teacher width. Such a transform is training scaffolding: the loss reads it
+while the student trains, and no checkpoint keeps it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ class ArchConfig:
         return sizes
 
 
+BN_EPS = 1e-5  # batch norm's variance floor, in ConvUnit and StudentTransform alike
+
+
 class BatchNorm:
     """Per-channel batch normalization over all non-channel axes, in train mode.
 
@@ -64,7 +69,7 @@ class BatchNorm:
     running estimates, runs only folded into a FoldedUnit.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
+    def __init__(self, channels: int, eps: float = BN_EPS, momentum: float = 0.9):
         self.eps = eps
         self.momentum = momentum
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
@@ -124,29 +129,17 @@ class FoldedUnit:
         return ad.conv_unit(x, self.wmat, self.shift, self.slope, self.stride)
 
 
-class Block:
-    """One stage: `depth` conv units, the first with stride 2."""
-
-    def __init__(self, c_in: int, c_out: int, depth: int, rng: np.random.Generator):
-        self.c_in = c_in
-        self.c_out = c_out
-        self.units = []
-        for k in range(depth):
-            self.units.append(ConvUnit(c_in if k == 0 else c_out, c_out, 2 if k == 0 else 1, rng))
-
-
 class StagedNetwork:
-    """Composition of stage blocks plus a flatten+linear embedding head."""
+    """Stages of `arch.block_depth` conv units, the first with stride 2, then a linear head."""
 
     def __init__(self, arch: ArchConfig, channels: tuple[int, ...], rng: np.random.Generator):
         arch.validate()
         self.arch = arch
         self.channels = tuple(channels)
-        self.blocks: list[Block] = []
-        c_prev = arch.in_channels
-        for c in channels:
-            self.blocks.append(Block(c_prev, c, arch.block_depth, rng))
-            c_prev = c
+        self.stages: list[list[ConvUnit]] = [
+            [ConvUnit(c if k else c_in, c, 1 if k else 2, rng) for k in range(arch.block_depth)]
+            for c_in, c in zip((arch.in_channels, *channels), channels)
+        ]
         side = arch.stage_sizes()[-1]
         self.flat_dim = side * side * channels[-1]
         self.head_weight = Tensor(
@@ -158,10 +151,10 @@ class StagedNetwork:
 
     @property
     def num_stages(self) -> int:
-        return len(self.blocks)
+        return len(self.stages)
 
     def _check_stage_input(self, x: Tensor, stage: int) -> None:
-        expected_c = self.blocks[stage - 1].c_in
+        expected_c = (self.arch.in_channels, *self.channels)[stage - 1]
         if x.ndim != 4 or x.shape[-1] != expected_c:
             raise DimensionError(
                 f"stage {stage}: expected input [B,h,w,{expected_c}], got {x.shape}"
@@ -173,8 +166,8 @@ class StagedNetwork:
         if units is None:
             sides = [self.arch.input_size, *self.arch.stage_sizes()]
             units = [
-                [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(block.units)]
-                for i, block in enumerate(self.blocks)
+                [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
+                for i, stage in enumerate(self.stages)
             ]
         return FoldedNetwork(self, units)
 
@@ -187,7 +180,7 @@ class StagedNetwork:
         """
         if self._folded_units is not None:
             raise ContractError("a frozen network runs only in eval mode: use folded().forward")
-        return self._run(Tensor._lift(batch), [block.units for block in self.blocks])
+        return self._run(Tensor._lift(batch), self.stages)
 
     def _run(self, x: Tensor, stages: list[list]) -> tuple[list[Tensor], Tensor]:
         """Stage features and embedding of `x` through the units of each stage."""
@@ -204,7 +197,7 @@ class StagedNetwork:
         return ad.matmul(flat, self.head_weight)
 
     def tail(self, stage: int, feature: Tensor) -> Tensor:
-        """Embed `feature` by running blocks stage+1..n and the head.
+        """Embed `feature` by running stages stage+1..n and the head.
 
         The tail always runs in eval mode: a frozen network is a fixed
         function. Gradients still flow through to `feature`.
@@ -212,7 +205,7 @@ class StagedNetwork:
         if not 1 <= stage <= self.num_stages:
             raise DimensionError(f"stage {stage} outside 1..{self.num_stages}")
         feature = Tensor._lift(feature)
-        expected_c = self.blocks[stage - 1].c_out
+        expected_c = self.channels[stage - 1]
         side = self.arch.stage_sizes()[stage - 1]
         if feature.ndim != 4 or feature.shape[1:] != (side, side, expected_c):
             raise DimensionError(
@@ -230,8 +223,8 @@ class StagedNetwork:
         """Parameters, then batch-norm buffers, under their checkpoint names."""
         params: dict[str, Tensor] = {}
         buffers: dict[str, np.ndarray] = {}
-        for i, block in enumerate(self.blocks, start=1):
-            for k, unit in enumerate(block.units, start=1):
+        for i, stage in enumerate(self.stages, start=1):
+            for k, unit in enumerate(stage, start=1):
                 prefix = f"net.block{i}."
                 params[f"{prefix}conv{k}.weight"] = unit.weight
                 params[f"{prefix}bn{k}.gamma"] = unit.bn.gamma
@@ -261,18 +254,20 @@ class FoldedNetwork:
 class StudentTransform:
     """Lift a student stage feature to teacher width: 1x1 conv then batch norm.
 
-    Only the training loss reads a transform, so it runs in train mode only.
+    Only the training loss reads a transform, so it runs in train mode only:
+    its batch norm always normalizes with the batch statistics and keeps no
+    running estimates. A student checkpoint does not hold its transforms.
     """
 
     def __init__(self, stage: int, c_student: int, c_teacher: int, rng: np.random.Generator):
         self.stage = stage
         self.c_student = c_student
-        self.c_teacher = c_teacher
         self.proj = Tensor(
             rng.normal(0.0, np.sqrt(2.0 / c_student), size=(c_student, c_teacher)),
             requires_grad=True,
         )
-        self.bn = BatchNorm(c_teacher)
+        self.gamma = Tensor(np.ones(c_teacher), requires_grad=True)
+        self.beta = Tensor(np.zeros(c_teacher), requires_grad=True)
 
     def forward(self, feature: Tensor) -> Tensor:
         feature = Tensor._lift(feature)
@@ -281,16 +276,14 @@ class StudentTransform:
                 f"stage {self.stage}: transform expects {self.c_student} channels, "
                 f"got {feature.shape}"
             )
-        return self.bn.forward(ad.conv2d_1x1(feature, self.proj))
+        return ad.batch_norm(ad.conv2d_1x1(feature, self.proj), self.gamma, self.beta, BN_EPS)[0]
 
     def state(self) -> dict[str, Tensor | np.ndarray]:
         prefix = f"transform{self.stage}."
         return {
             f"{prefix}proj.weight": self.proj,
-            f"{prefix}bn.gamma": self.bn.gamma,
-            f"{prefix}bn.beta": self.bn.beta,
-            f"{prefix}bn.running_mean": self.bn.running_mean,
-            f"{prefix}bn.running_var": self.bn.running_var,
+            f"{prefix}bn.gamma": self.gamma,
+            f"{prefix}bn.beta": self.beta,
         }
 
 
@@ -347,19 +340,17 @@ def parameters(*modules) -> dict[str, Tensor]:
     return {k: v for m in modules for k, v in m.state().items() if isinstance(v, Tensor)}
 
 
-def freeze(*modules) -> None:
-    """Stop gradients into every parameter, and fold each network once.
+def freeze(net: StagedNetwork) -> None:
+    """Stop gradients into every parameter of `net`, and fold it once.
 
     A frozen network is a fixed function: it runs only as the units folded
     here, so none of its values may change after, and its train-mode
     `forward` raises.
     """
-    for p in parameters(*modules).values():
+    for p in parameters(net).values():
         p.requires_grad = False
         p.grad = None
-    for m in modules:
-        if isinstance(m, StagedNetwork):
-            m._folded_units = m.folded().stages
+    net._folded_units = net.folded().stages
 
 
 def state_arrays(*modules) -> dict[str, np.ndarray]:

@@ -179,22 +179,28 @@ class TestVersion1:
 class TestStudentTransforms:
     @pytest.mark.parametrize("kind", ["l2", "angular"])
     def test_checkpoint_with_last_transform_evaluates(self, tmp_path, kind):
-        """Earlier student checkpoints also held the untrained last transform.
+        """Earlier student checkpoints held every stage's transform.
 
-        Its records are ignored: such a checkpoint evaluates exactly like the
-        same checkpoint without them.
+        Each `transform<i>.*` record, running estimates and the untrained last
+        transform included, is ignored: such a checkpoint evaluates exactly
+        like the same checkpoint without them.
         """
         from spherekd.engine import evaluate_checkpoint, train_student, train_teacher
-        from spherekd.nets import stage_transforms, state_arrays
 
         cfg = make_toy_config(tmp_path / "run", [f"distill.kind={kind}"])
         teacher_path, _ = train_teacher(cfg)
         student_path, _ = train_student(cfg, teacher_path)
         student = load_checkpoint(student_path)
-        last = stage_transforms(cfg.arch, cfg.seed)[-1]
-        assert not set(state_arrays(last)) & set(student.tensors)
-        earlier = Checkpoint(
-            student.fingerprint, student.tensors | state_arrays(last), student.meta
-        )
+        assert not any(name.startswith("transform") for name in student.tensors)
+        rng = np.random.default_rng(5)
+        transforms = {}
+        for i, (c_s, c_t) in enumerate(
+            zip(cfg.arch.student_channels, cfg.arch.teacher_channels), start=1
+        ):
+            shapes = {"proj.weight": (c_s, c_t)} | {
+                f"bn.{name}": (c_t,) for name in ("gamma", "beta", "running_mean", "running_var")
+            }
+            transforms |= {f"transform{i}.{k}": rng.normal(size=v) for k, v in shapes.items()}
+        earlier = Checkpoint(student.fingerprint, student.tensors | transforms, student.meta)
         earlier_path = save_checkpoint(tmp_path / "earlier.ckpt", earlier)
         assert evaluate_checkpoint(cfg, earlier_path) == evaluate_checkpoint(cfg, student_path)

@@ -139,6 +139,41 @@ class TestGenData:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputDir:
+    """`--out` is a path taken verbatim; an `output_dir` value must be a non-empty string."""
+
+    @pytest.mark.parametrize("out", ["010", "1.50", "yes"])
+    def test_out_is_taken_verbatim(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-data", *toy_args(out)) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [out]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--set", f"output_dir={v}"] for v in ("010", "1.50", "yes", "null", "[a,b]", "''")]
+        + [["--out", ""]],
+        ids=" ".join,
+    )
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-data", *args) == 2
+        err = capsys.readouterr().err
+        assert "output_dir" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["010", "yes", "null", "[a, b]"])
+    def test_bad_config_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, value):
+        cfg_file = tmp_path / "config.yaml"
+        cfg_file.write_text(f"output_dir: {value}\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_cli("gen-data", "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert "output_dir" in err and "Traceback" not in err
+        assert list(work.iterdir()) == []
+
+
 class TestDistill:
     def test_kind_none_without_teacher(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -174,7 +174,7 @@ class TestIntermediateAngularLoss:
             total.backward()
             assert all(p.grad is None for p in parameters(teacher).values())
             assert all(p.grad is None for p in parameters(transforms[-1]).values())
-            grads[lam] = (transforms[0].proj.grad, student.blocks[0].units[0].weight.grad)
+            grads[lam] = (transforms[0].proj.grad, student.stages[0][0].weight.grad)
         assert np.any(grads[1.0][0]) and not np.any(grads[0.0][0])
         # through the transform, the stage-1 term reaches the student's stage-1 feature
         assert not np.array_equal(grads[1.0][1], grads[0.0][1])

@@ -133,8 +133,8 @@ class TestTeacherTail:
 def randomized(net, seed):
     """Random batch-norm state and slopes, so that no fold is near the identity."""
     rng = np.random.default_rng(seed)
-    for block in net.blocks:
-        for unit in block.units:
+    for units in net.stages:
+        for unit in units:
             c = unit.slope.data.shape[0]
             unit.bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=c)
             unit.bn.beta.data[:] = rng.normal(size=c)
@@ -147,8 +147,8 @@ def randomized(net, seed):
 def unfolded_features(net, x):
     """Eval-mode stage features unfolded: conv, running-estimate batch norm in Tensor ops, PReLU."""
     features = []
-    for block in net.blocks:
-        for unit in block.units:
+    for units in net.stages:
+        for unit in units:
             y = ad.conv2d_3x3(x, unit.weight, stride=unit.stride)
             y = composite_batch_norm(unit.bn, y, train=False)
             x = ad.prelu(y, unit.slope)
@@ -238,7 +238,6 @@ class TestNamedState:
             *(f"net.{b}.bn1.{n}" for b in units for n in ("running_mean", "running_var")),
             "classifier.weight",
             "transform1.proj.weight", "transform1.bn.gamma", "transform1.bn.beta",
-            "transform1.bn.running_mean", "transform1.bn.running_var",
         ]
         assert list(parameters(student, head, transforms[0])) == [
             n for n in names if "running" not in n
@@ -250,7 +249,7 @@ class TestNamedState:
         x = Tensor(np.random.default_rng(14).normal(size=(4, 8, 8, 1)))
         before = arrays["net.block1.bn1.running_mean"].copy()
         net.forward(x)
-        bn = net.blocks[0].units[0].bn
+        bn = net.stages[0][0].bn
         assert arrays["net.block1.bn1.running_mean"] is bn.running_mean
         assert not np.array_equal(bn.running_mean, before)
 
@@ -301,12 +300,22 @@ class TestBatchNormMatchesComposite:
 class TestStudentTransform:
     def test_constant_batch_train_mode_gives_beta(self):
         tr = StudentTransform(2, 2, 5, substream(1, "tr"))
-        tr.bn.beta.data[:] = np.linspace(-1, 1, 5)
+        tr.beta.data[:] = np.linspace(-1, 1, 5)
         x = Tensor(np.full((3, 2, 2, 2), 4.0))
         out = tr.forward(x)
         np.testing.assert_allclose(
-            out.data, np.broadcast_to(tr.bn.beta.data, (3, 2, 2, 5)), atol=1e-12
+            out.data, np.broadcast_to(tr.beta.data, (3, 2, 2, 5)), atol=1e-12
         )
+
+    def test_equals_a_batch_norm_after_the_projection(self):
+        tr = StudentTransform(1, 3, 5, substream(4, "tr"))
+        tr.gamma.data[:] = np.linspace(0.5, 1.5, 5)
+        tr.beta.data[:] = np.linspace(-1.0, 1.0, 5)
+        bn = BatchNorm(5)
+        bn.gamma.data[:], bn.beta.data[:] = tr.gamma.data, tr.beta.data
+        x = Tensor(np.random.default_rng(16).normal(size=(4, 2, 2, 3)))
+        expected = bn.forward(ad.conv2d_1x1(x, Tensor(tr.proj.data)))
+        assert np.array_equal(tr.forward(x).data, expected.data)
 
     def test_shapes_and_channel_lift(self):
         tr = StudentTransform(1, 2, 4, substream(2, "tr"))
