@@ -19,6 +19,11 @@ Design notes:
     its closed-form backward. A unit of a network that no longer changes is
     one op, `conv_unit`, with eval-mode batch norm folded into the conv:
     that is the only eval-mode batch norm.
+  * Each op takes the one input form its callers pass. The 3x3 conv takes
+    batched maps [batch, h, w, c] and softmax cross-entropy [batch, classes]
+    logits with an index vector; a single map or a 1-d row of logits raises
+    DimensionError. `Tensor` has the arithmetic the losses use (+, -, *,
+    scalar powers), `sum` and `mean` over axes, and `reshape(*shape)`.
 
 Only the operations defined here form the differentiable surface; network
 layers and losses are compositions of them.
@@ -112,8 +117,6 @@ class Tensor:
 
         return self._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Tensor":
         other = self._lift(other)
         out_data = self.data - other.data
@@ -139,27 +142,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = self._lift(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._lift(other) / self
-
-    def __neg__(self) -> "Tensor":
-        out_data = -self.data
-
-        def backward(g):
-            _accumulate(self, -g)
-
-        return self._make(out_data, (self,), backward)
-
     def __pow__(self, exponent: float) -> "Tensor":
         p = float(exponent)
         out_data = self.data**p
@@ -171,26 +153,24 @@ class Tensor:
 
     # -- reductions and shape ------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        out_data = self.data.sum(axis=axis)
 
         def backward(g):
-            _accumulate(self, _spread(g, self.data.shape, axis, keepdims))
+            _accumulate(self, _spread(g, self.data.shape, axis))
 
         return self._make(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.mean(axis=axis, keepdims=keepdims)
+    def mean(self, axis=None) -> "Tensor":
+        out_data = self.data.mean(axis=axis)
         count = self.data.size / out_data.size
 
         def backward(g):
-            _accumulate(self, _spread(g, self.data.shape, axis, keepdims) / count)
+            _accumulate(self, _spread(g, self.data.shape, axis) / count)
 
         return self._make(out_data, (self,), backward)
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         out_data = self.data.reshape(shape)
 
         def backward(g):
@@ -264,15 +244,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduction gradient back to the input shape."""
-    if axis is None:
-        return np.broadcast_to(g, shape).astype(np.float64, copy=True)
-    if not keepdims:
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
+    """Broadcast the gradient of a reduction over `axis` back to the input shape."""
+    if axis is not None:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
+        g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
     return np.broadcast_to(g, shape).astype(np.float64, copy=True)
 
 
@@ -392,7 +368,7 @@ def tap_matrix(weight: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
 
 
 def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
-    """3x3 convolution, channels-last, padding fixed to 1, stride 1 or 2.
+    """3x3 convolution of x [batch, h, w, c_in], channels-last, padding fixed to 1, stride 1 or 2.
 
     Output spatial dims are ceil(h/stride) x ceil(w/stride). Implemented as
     im2col: the windows of the live taps (see `_live_taps`: all nine while
@@ -410,17 +386,15 @@ def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> 
     x, weight = Tensor._lift(x), Tensor._lift(weight)
     if weight.ndim != 4 or weight.shape[:2] != (3, 3):
         raise DimensionError(f"3x3 conv weight must be [3,3,c_in,c_out], got {weight.shape}")
-    squeeze = x.ndim == 3
-    x4 = x.reshape((1,) + x.shape) if squeeze else x
-    if x4.ndim != 4 or x4.shape[-1] != weight.shape[2]:
+    if x.ndim != 4 or x.shape[-1] != weight.shape[2]:
         raise DimensionError(
-            f"3x3 conv channel mismatch: input {x.shape} vs weight {weight.shape}"
+            f"3x3 conv expects input [B,h,w,{weight.shape[2]}], got {x.shape}"
         )
 
-    batch, h, w, _ = x4.shape
+    batch, h, w, _ = x.shape
     c_out = weight.shape[3]
     h_out, w_out, ti, tj = _window_plan(h, w, stride)
-    columns = _columns(x4.data, stride)
+    columns = _columns(x.data, stride)
     wmat = tap_matrix(weight.data, h, w, stride)
     out_data = (columns @ wmat).reshape(batch, h_out, w_out, c_out)
     saved = columns if weight.requires_grad else None
@@ -431,11 +405,10 @@ def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> 
             gw = np.zeros_like(weight.data)
             gw[ti, tj] = (saved.T @ gflat).reshape(gw[ti, tj].shape)
             _accumulate(weight, gw)
-        if x4.requires_grad:
-            _accumulate(x4, _col2im(gflat @ wmat.T, x4.shape, stride))
+        if x.requires_grad:
+            _accumulate(x, _col2im(gflat @ wmat.T, x.shape, stride))
 
-    out = x4._make(out_data, (x4, weight), backward)
-    return out.reshape(out.shape[1:]) if squeeze else out
+    return x._make(out_data, (x, weight), backward)
 
 
 def conv_unit(
@@ -578,36 +551,32 @@ def cosine(a: Tensor, b: Tensor, eps: float = EPS_NORM) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Negative log-softmax of the true class, computed with max subtraction.
+    """Per-sample negative log-softmax of the true class, computed with max subtraction.
 
-    For 1-d logits and an integer label the result is a scalar; for a
-    [batch, classes] matrix and an index vector it is the per-sample vector.
+    `logits` is a [batch, classes] matrix and `labels` an index vector of
+    length batch; the result is the vector of the batch's losses.
     """
     logits = Tensor._lift(logits)
-    single = logits.ndim == 1
-    mat = logits.data[None, :] if single else logits.data
-    if logits.ndim not in (1, 2):
-        raise DimensionError(f"logits must be 1-d or 2-d, got {logits.shape}")
-    idx = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if idx.shape[0] != mat.shape[0]:
-        raise DimensionError(f"{mat.shape[0]} rows of logits but {idx.shape[0]} labels")
-    n_classes = mat.shape[1]
+    if logits.ndim != 2:
+        raise DimensionError(f"logits must be [batch, classes], got {logits.shape}")
+    idx = np.asarray(labels, dtype=np.int64)
+    if idx.shape != logits.shape[:1]:
+        raise DimensionError(f"{logits.shape[0]} rows of logits but labels of shape {idx.shape}")
+    rows, n_classes = logits.shape
     if np.any(idx < 0) or np.any(idx >= n_classes):
         raise IndexError(f"label out of range [0, {n_classes})")
 
-    shifted = mat - mat.max(axis=1, keepdims=True)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    losses = log_z - shifted[np.arange(mat.shape[0]), idx]
-    out_data = losses[0] if single else losses
+    losses = log_z - shifted[np.arange(rows), idx]
 
     def backward(g):
         softmax = np.exp(shifted)
         softmax /= softmax.sum(axis=1, keepdims=True)
-        softmax[np.arange(mat.shape[0]), idx] -= 1.0
-        grad = softmax * np.atleast_1d(g)[:, None]
-        _accumulate(logits, grad[0] if single else grad)
+        softmax[np.arange(rows), idx] -= 1.0
+        _accumulate(logits, softmax * g[:, None])
 
-    return logits._make(np.asarray(out_data), (logits,), backward)
+    return logits._make(losses, (logits,), backward)
 
 
 # -- validation ----------------------------------------------------------------

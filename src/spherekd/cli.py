@@ -148,7 +148,7 @@ def _cmd_distill(args) -> int:
         cfg = apply_overrides(cfg, [f"distill.kind={args.kind}"])
     out = _announce(cfg)
     dataset = dataset_from_config(cfg)
-    path, _, metrics = train_and_score(
+    path, metrics = train_and_score(
         cfg, "student", args.teacher, dataset, *protocols_from_config(cfg, dataset)
     )
     print(f"student checkpoint: {path}")

@@ -112,14 +112,15 @@ class Interval:
         return above and below
 
     def __str__(self) -> str:
-        return f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+        lo, hi = (v if isinstance(v, int) else f"{v:g}" for v in (self.lo, self.hi))
+        return f"{self.ends[0]}{lo}, {hi}{self.ends[1]}"
 
 
 # The admissible values of every key but output_dir and the booleans: an
 # Interval (for a list key, the bound on each entry) or a tuple of choices.
 # A float must also be finite.
 RANGES = {
-    "seed": Interval(-math.inf, ends="()"),
+    "seed": Interval(-(2**63), 2**63),  # where rng.substream's 64-bit mask is one-to-one
     "data.num_train_classes": Interval(2),
     "data.num_test_classes": Interval(2),
     "data.samples_per_class": Interval(2),

@@ -26,7 +26,7 @@ from .checkpoint import (
     restore,
     save_checkpoint,
 )
-from .config import RunConfig, config_from_tree
+from .config import RunConfig
 from .data import (
     SyntheticIdentityDataset,
     build_identification_protocol,
@@ -206,15 +206,15 @@ def _fit(cfg: RunConfig, role: str, kind: str, teacher, modules, lambdas, images
         logger.write({"type": "epoch", "epoch": epoch, "mean_total": float(np.mean(epoch_totals))})
 
 
-def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
+def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     """Train one network and persist its checkpoint and metrics log.
 
     Teacher and students share this scheme. A student differs only in width
     and in the distillation terms its loss adds, which need the frozen
     teacher and the transforms of stages 1..n-1 (the final stage compares
     embeddings directly). The checkpoint holds the network and the
-    classifier, not the transforms. `dataset`, if given, must be the
-    config's own; None generates it.
+    classifier, not the transforms, and goes to `cfg.output_dir`.
+    `dataset`, if given, must be the config's own; None generates it.
     """
     cfg.validate()
     student = role == "student"
@@ -224,7 +224,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
         dataset = dataset_from_config(cfg)
     elif dataset.params != _data_params(cfg):
         raise ConfigError(f"dataset {dataset.params} is not the config's {_data_params(cfg)}")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_idx = dataset.train_indices
     images, labels = dataset.images[train_idx], dataset.labels[train_idx]
@@ -282,23 +282,18 @@ def _train(cfg: RunConfig, role: str, teacher_path, out_dir, dataset):
     return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
 
 
-def train_teacher(
-    cfg: RunConfig,
-    out_dir: str | Path | None = None,
-    dataset: SyntheticIdentityDataset | None = None,
-):
+def train_teacher(cfg: RunConfig, dataset: SyntheticIdentityDataset | None = None):
     """Train the wide network with classification loss only; persist checkpoint."""
-    return _train(cfg, "teacher", None, out_dir, dataset)
+    return _train(cfg, "teacher", None, dataset)
 
 
 def train_student(
     cfg: RunConfig,
     teacher_path: str | Path | None,
-    out_dir: str | Path | None = None,
     dataset: SyntheticIdentityDataset | None = None,
 ):
     """Train the narrow network under the configured distillation objective."""
-    return _train(cfg, "student", teacher_path, out_dir, dataset)
+    return _train(cfg, "student", teacher_path, dataset)
 
 
 def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, None]:
@@ -360,22 +355,21 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str | Path) -> dict:
 def train_and_score(cfg: RunConfig, role: str, teacher_path, dataset, vprot, iprot):
     """Train one network on `dataset`, then score its checkpoint on the protocols.
 
-    Returns the checkpoint path, the training summary and the metrics.
+    Returns the checkpoint path and the metrics.
     """
     if role == "teacher":
-        path, summary = train_teacher(cfg, dataset=dataset)
+        path, _ = train_teacher(cfg, dataset=dataset)
     else:
-        path, summary = train_student(cfg, teacher_path, dataset=dataset)
+        path, _ = train_student(cfg, teacher_path, dataset=dataset)
     net = load_network(cfg, path)
-    return path, summary, evaluate_network(net, dataset, vprot, iprot)
+    return path, evaluate_network(net, dataset, vprot, iprot)
 
 
 # -- experiment matrix -------------------------------------------------------------
 
 
-def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
+def run_seed_cells(base: RunConfig, seed: int) -> dict:
     """Train teacher + the three student variants for one seed; evaluate all."""
-    base = config_from_tree(cfg_tree)
     cfg = replace(base, seed=seed, output_dir=str(Path(base.output_dir) / f"seed{seed}"))
     dataset = dataset_from_config(cfg)
     protocols = protocols_from_config(cfg, dataset)
@@ -387,8 +381,7 @@ def run_seed_cells(cfg_tree: dict, seed: int) -> dict:
     teacher_path = None
     for row, role, cfg_k in runs:
         try:
-            path, summary, metrics = train_and_score(cfg_k, role, teacher_path, dataset, *protocols)
-            cells[row] = metrics | {"train_accuracy": summary["train_accuracy"]}
+            path, cells[row] = train_and_score(cfg_k, role, teacher_path, dataset, *protocols)
         except Exception:
             cells[row] = {"error": traceback.format_exc(limit=5)}
             if role == "teacher":
@@ -407,20 +400,21 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
     cfg.validate()
     if not seeds:
         raise ConfigError("need at least one seed")
+    for s in seeds:
+        replace(cfg, seed=s).validate()
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"duplicate seeds in {seeds}: each seed writes its own seed<N>/ files")
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tree = asdict(cfg)
 
     workers = min(parallel, len(seeds))
     if workers > 1:
         with process_pool(workers) as pool:
-            per_seed = dict(zip(seeds, pool.map(partial(run_seed_cells, tree), seeds)))
+            per_seed = dict(zip(seeds, pool.map(partial(run_seed_cells, cfg), seeds)))
     else:
-        per_seed = {s: run_seed_cells(tree, s) for s in seeds}
+        per_seed = {s: run_seed_cells(cfg, s) for s in seeds}
 
     metrics = ["verification_accuracy", "rank1"]
     report: dict = {"seeds": list(seeds), "rows": {}, "failures": {}}

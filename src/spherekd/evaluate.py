@@ -25,9 +25,11 @@ PROBE_BLOCK = 32
 
 # embedding runs on threads from this many rows per thread on. A thread
 # starts at no cost, but each embeds batches of batch_size // threads rows,
-# which cost more per row. On 2 vCPUs the default teacher took 0.12 s for 820
-# rows on two threads against 0.10 s on one, and 0.39 s against 0.47 s for
-# 4,096 rows; the default student took 0.12 s against 0.11 s for 4,096 rows
+# which cost more per row. On 2 vCPUs, folded random-init default networks,
+# medians of runs alternating one thread with two: the teacher took 0.17 s for
+# 820 rows on either (0.16 s against 0.17 s in a second run), 0.58 s against
+# 0.74 s for 4,096 rows and 2.6 s against 3.7 s for 20,320; the student took
+# 0.033 s on two threads against 0.028 s on one for 820 rows
 ROWS_PER_WORKER = 2048
 
 

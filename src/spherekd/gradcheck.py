@@ -90,10 +90,10 @@ def _away_from_zero(rng: np.random.Generator, shape) -> np.ndarray:
     return x + 0.2 * np.sign(x)
 
 
-def _case_add_mul_div(rng):
+def _case_add_sub_mul(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4,)) + 2.0, requires_grad=True)
-    return [a, b], lambda: ((a * b + a) / b - a * 0.5).sum()
+    b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    return [a, b], lambda: (a * b + a - 0.5 * b + (1.0 - a) * b).sum()
 
 
 def _case_pow_mean(rng):
@@ -124,36 +124,15 @@ def _case_conv1x1(rng):
     return [x, w], lambda: (ad.conv2d_1x1(x, w) ** 2).mean()
 
 
-def _case_conv3x3_s1(rng):
-    x = Tensor(rng.normal(size=(2, 5, 5, 2)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
-    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=1) ** 2).mean()
+def _conv3x3_case(x_shape: tuple[int, ...], c_out: int, stride: int):
+    """A case for `conv2d_3x3` of an x_shape input to c_out channels at `stride`."""
 
+    def build_case(rng):
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, x_shape[-1], c_out)), requires_grad=True)
+        return [x, w], lambda: (ad.conv2d_3x3(x, w, stride) ** 2).mean()
 
-def _case_conv3x3_s2(rng):
-    x = Tensor(rng.normal(size=(1, 8, 8, 2)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True)
-    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=2) ** 2).mean()
-
-
-def _case_conv3x3_s2_to_1x1(rng):
-    # only the four taps reading the 2x2 input are live
-    x = Tensor(rng.normal(size=(2, 2, 2, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
-    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=2) ** 2).mean()
-
-
-def _case_conv3x3_s1_1x1(rng):
-    # only the centre tap is live
-    x = Tensor(rng.normal(size=(3, 1, 1, 2)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
-    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=1) ** 2).mean()
-
-
-def _case_conv3x3_s1_2x2(rng):
-    x = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
-    return [x, w], lambda: (ad.conv2d_3x3(x, w, stride=1) ** 2).mean()
+    return build_case
 
 
 def _case_conv_unit(rng):
@@ -280,17 +259,19 @@ def _composite_case(kind: str, mode: str, lambda_n: float):
 
 
 CASES: list[CheckCase] = [
-    CheckCase("elementwise-add-mul-div", "nets", _case_add_mul_div),
+    CheckCase("elementwise-add-sub-mul", "nets", _case_add_sub_mul),
     CheckCase("pow-mean", "nets", _case_pow_mean),
     CheckCase("sum-axes", "nets", _case_sum_axes),
     CheckCase("reshape-matmul", "nets", _case_reshape),
     CheckCase("matmul", "nets", _case_matmul),
     CheckCase("conv2d-1x1", "nets", _case_conv1x1),
-    CheckCase("conv2d-3x3-stride1", "nets", _case_conv3x3_s1),
-    CheckCase("conv2d-3x3-stride2", "nets", _case_conv3x3_s2),
-    CheckCase("conv2d-3x3-stride2-2x2-to-1x1", "nets", _case_conv3x3_s2_to_1x1),
-    CheckCase("conv2d-3x3-stride1-1x1", "nets", _case_conv3x3_s1_1x1),
-    CheckCase("conv2d-3x3-stride1-2x2", "nets", _case_conv3x3_s1_2x2),
+    CheckCase("conv2d-3x3-stride1", "nets", _conv3x3_case((2, 5, 5, 2), 3, 1)),
+    CheckCase("conv2d-3x3-stride2", "nets", _conv3x3_case((1, 8, 8, 2), 4, 2)),
+    # only the four taps reading the 2x2 input are live
+    CheckCase("conv2d-3x3-stride2-2x2-to-1x1", "nets", _conv3x3_case((2, 2, 2, 3), 2, 2)),
+    # only the centre tap is live
+    CheckCase("conv2d-3x3-stride1-1x1", "nets", _conv3x3_case((3, 1, 1, 2), 3, 1)),
+    CheckCase("conv2d-3x3-stride1-2x2", "nets", _conv3x3_case((2, 2, 2, 2), 3, 1)),
     CheckCase("conv-unit-folded", "nets", _case_conv_unit),
     CheckCase("prelu", "nets", _case_prelu),
     CheckCase("l2-normalize", "nets", _case_l2_normalize),

@@ -50,20 +50,19 @@ def angular_distill_loss(teacher_emb: Tensor, student_emb: Tensor) -> Tensor:
 def l2_distill_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     """Mean over the batch of squared Euclidean distance between features.
 
-    The exact-match baseline: unlike the angular loss it constrains magnitude
-    as well as direction. Teacher side is constant.
+    The features are batched, [batch, ...]: stage maps or embeddings. The
+    exact-match baseline: unlike the angular loss it constrains magnitude as
+    well as direction. Teacher side is constant.
     """
     teacher_feat, student_feat = Tensor._lift(teacher_feat), Tensor._lift(student_feat)
-    if teacher_feat.shape != student_feat.shape:
+    if teacher_feat.shape != student_feat.shape or student_feat.ndim < 2:
         raise DimensionError(
-            f"feature shapes differ: {teacher_feat.shape} vs {student_feat.shape}"
+            f"expected batched features of one shape, got {teacher_feat.shape} vs "
+            f"{student_feat.shape}"
         )
     diff = student_feat - teacher_feat.detach()
     sq = diff * diff
-    if sq.ndim == 1:
-        return sq.sum()
-    per_sample = sq.reshape(sq.shape[0], -1).sum(axis=1)
-    return per_sample.mean()
+    return sq.reshape(sq.shape[0], -1).sum(axis=1).mean()
 
 
 def composite_loss(
@@ -95,9 +94,7 @@ def composite_loss(
         raise ConfigError(f"distill kind must be one of {DISTILL_KINDS}, got {kind!r}")
     batch = Tensor._lift(batch)
     feats_s, emb_s = student.forward(batch)
-    cls = ad.softmax_cross_entropy(head.logits(emb_s), labels)
-    if cls.ndim > 0:
-        cls = cls.mean()
+    cls = ad.softmax_cross_entropy(head.logits(emb_s), labels).mean()
     parts = {"cls": cls.item()}
     if kind == "none":
         return cls, parts

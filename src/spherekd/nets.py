@@ -59,6 +59,7 @@ class ArchConfig:
 
 
 BN_EPS = 1e-5  # batch norm's variance floor, in ConvUnit and StudentTransform alike
+BN_MOMENTUM = 0.9  # the weight of the old value in each running-estimate update
 
 
 class BatchNorm:
@@ -69,18 +70,16 @@ class BatchNorm:
     running estimates, runs only folded into a FoldedUnit.
     """
 
-    def __init__(self, channels: int, eps: float = BN_EPS, momentum: float = 0.9):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps)
+        out, mean, var = ad.batch_norm(x, self.gamma, self.beta, BN_EPS)
         # in place, so that the buffers a network lists keep their identity
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean *= m
         self.running_mean += (1.0 - m) * mean
         self.running_var *= m
@@ -119,7 +118,7 @@ class FoldedUnit:
 
     def __init__(self, unit: ConvUnit, side: int):
         bn = unit.bn
-        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
         self.stride = unit.stride
         self.wmat = ad.tap_matrix(unit.weight.data, side, side, unit.stride) * scale
         self.shift = bn.beta.data - bn.running_mean * scale
@@ -153,13 +152,6 @@ class StagedNetwork:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def _check_stage_input(self, x: Tensor, stage: int) -> None:
-        expected_c = (self.arch.in_channels, *self.channels)[stage - 1]
-        if x.ndim != 4 or x.shape[-1] != expected_c:
-            raise DimensionError(
-                f"stage {stage}: expected input [B,h,w,{expected_c}], got {x.shape}"
-            )
-
     def folded(self) -> "FoldedNetwork":
         """The network in eval mode: its units folded once by `freeze`, otherwise now."""
         units = self._folded_units
@@ -183,10 +175,16 @@ class StagedNetwork:
         return self._run(Tensor._lift(batch), self.stages)
 
     def _run(self, x: Tensor, stages: list[list]) -> tuple[list[Tensor], Tensor]:
-        """Stage features and embedding of `x` through the units of each stage."""
+        """Stage features and embedding of `x` through the units of each stage.
+
+        Only the input is checked: each later stage reads the output of the
+        one before it.
+        """
+        c_in = self.arch.in_channels
+        if x.ndim != 4 or x.shape[-1] != c_in:
+            raise DimensionError(f"stage 1: expected input [B,h,w,{c_in}], got {x.shape}")
         features: list[Tensor] = []
-        for i, units in enumerate(stages, start=1):
-            self._check_stage_input(x, i)
+        for units in stages:
             for unit in units:
                 x = unit.forward(x)
             features.append(x)
@@ -298,17 +296,10 @@ class ClassifierHead:
     MODES = ("plain", "normalized")
 
     def __init__(
-        self,
-        num_classes: int,
-        dim: int,
-        mode: str = "normalized",
-        scale: float = 16.0,
-        rng: np.random.Generator | None = None,
+        self, num_classes: int, dim: int, mode: str, scale: float, rng: np.random.Generator
     ):
         if mode not in self.MODES:
             raise ConfigError(f"classifier mode must be one of {self.MODES}, got {mode!r}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.mode = mode
         self.scale = float(scale)
         self.weight = Tensor(rng.normal(0.0, 1.0, size=(num_classes, dim)), requires_grad=True)

@@ -216,7 +216,7 @@ def test_criterion_08_composition_invariant():
     )
     teacher, student, transforms = build_reference_pair(tiny, seed=6)
     freeze(teacher)
-    head = ClassifierHead(4, tiny.embedding_dim, rng=substream(6, "cls"))
+    head = ClassifierHead(4, tiny.embedding_dim, "normalized", 16.0, substream(6, "cls"))
     x = Tensor(rng.normal(size=(3, 8, 8, 1)))
     labels = rng.integers(0, 4, size=3)
     n = teacher.num_stages

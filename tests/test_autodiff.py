@@ -92,14 +92,11 @@ class TestConv3x3:
         with pytest.raises(ConfigError):
             ad.conv2d_3x3(Tensor(np.ones((1, 4, 4, 1))), Tensor(np.ones((3, 3, 1, 1))), stride=3)
 
-    def test_unbatched_input_matches_batched(self):
-        rng = np.random.default_rng(21)
-        x = rng.normal(size=(5, 5, 2))
-        w = Tensor(rng.normal(size=(3, 3, 2, 3)))
-        single = ad.conv2d_3x3(Tensor(x), w, stride=2)
-        batched = ad.conv2d_3x3(Tensor(x[None]), w, stride=2)
-        assert single.shape == (3, 3, 3)
-        np.testing.assert_array_equal(single.data, batched.data[0])
+    def test_single_map_raises(self):
+        # the one input form is a batch of maps; a single map is not lifted
+        w = Tensor(np.ones((3, 3, 2, 3)))
+        with pytest.raises(DimensionError, match=r"\[B,h,w,2\]"):
+            ad.conv2d_3x3(Tensor(np.ones((5, 5, 2))), w, stride=2)
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -171,16 +168,17 @@ class TestCosine:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss = ad.softmax_cross_entropy(Tensor(np.zeros(4)), 2)
+        loss = ad.softmax_cross_entropy(Tensor(np.zeros((1, 4))), [2])
+        assert loss.shape == (1,)
         assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_extreme_logits_stable(self):
-        loss = ad.softmax_cross_entropy(Tensor([1000.0, 0.0]), 0)
+        loss = ad.softmax_cross_entropy(Tensor([[1000.0, 0.0]]), [0])
         assert 0.0 <= loss.item() < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.softmax_cross_entropy(Tensor(np.zeros(3)), 3)
+            ad.softmax_cross_entropy(Tensor(np.zeros((1, 3))), [3])
 
     def test_value_and_grad_vs_high_precision(self):
         # oracle: evaluate the definition directly at 50 decimal digits
@@ -197,19 +195,30 @@ class TestSoftmaxCrossEntropy:
             [float(exps[c] / total) - (1.0 if c == label else 0.0) for c in range(7)]
         )
 
-        t = Tensor(logits, requires_grad=True)
-        loss = ad.softmax_cross_entropy(t, label)
+        t = Tensor(logits[None, :], requires_grad=True)
+        loss = ad.softmax_cross_entropy(t, [label]).sum()
         loss.backward()
         assert relative_error(np.array(loss.item()), np.array(float(expected))) < 1e-8
-        assert relative_error(t.grad, expected_grad) < 1e-8
+        assert relative_error(t.grad[0], expected_grad) < 1e-8
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(13)
         logits = rng.normal(size=(5, 6))
         labels = rng.integers(0, 6, size=5)
         batched = ad.softmax_cross_entropy(Tensor(logits), labels)
-        singles = [ad.softmax_cross_entropy(Tensor(r), l).item() for r, l in zip(logits, labels)]
-        np.testing.assert_allclose(batched.data, singles, rtol=0, atol=1e-15)
+        rows = [
+            ad.softmax_cross_entropy(Tensor(logits[i : i + 1]), labels[i : i + 1]).item()
+            for i in range(5)
+        ]
+        np.testing.assert_allclose(batched.data, rows, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "logits, labels", [(np.zeros(4), 2), (np.zeros(4), [2]), (np.zeros((2, 4)), [1])]
+    )
+    def test_other_forms_raise(self, logits, labels):
+        # 1-d logits, and labels that are not one index per row
+        with pytest.raises(DimensionError):
+            ad.softmax_cross_entropy(Tensor(logits), labels)
 
 
 class TestBackward:
@@ -476,44 +485,66 @@ class TestFiniteDifferenceProperty:
 
 
 # ops that return a Tensor but build no graph node, so have nothing to check
-NOT_DIFFERENTIABLE = {"check_finite"}
+NOT_DIFFERENTIABLE = {"check_finite", "Tensor.detach"}
 
 
 def _returns_tensor(fn) -> bool:
     ann = inspect.signature(fn).return_annotation
-    return ann is Tensor or (isinstance(ann, str) and ann.startswith(("Tensor", "tuple[Tensor")))
+    if isinstance(ann, str):
+        ann = ann.strip("'\"")  # a method's quoted "Tensor" stays quoted under postponed annotations
+        return ann.startswith(("Tensor", "tuple[Tensor"))
+    return ann is Tensor
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
 
 
 def ops_without_gradcheck_case(monkeypatch) -> list[str]:
-    """Public autodiff functions returning a Tensor that no gradcheck case's loss calls."""
+    """Public autodiff functions and Tensor methods returning a Tensor that no gradcheck case's loss calls.
+
+    Methods are named `Tensor.<name>`; an operator counts under its own
+    dunder, so `0.5 * t` covers `__rmul__` and `t * 0.5` covers `__mul__`.
+    """
     from spherekd import gradcheck
 
-    ops = [
-        name
+    ops = {
+        name: (ad, name, fn)
         for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and not name.startswith("_") and _returns_tensor(fn)
-    ]
-    ops = [name for name in ops if name not in NOT_DIFFERENTIABLE]
+    }
+    ops |= {
+        f"Tensor.{name}": (Tensor, name, fn)
+        for name, fn in vars(Tensor).items()
+        if inspect.isfunction(fn) and _public(name) and _returns_tensor(fn)
+    }
     called, covered = set(), set()
-    for name in ops:
-        fn = getattr(ad, name)
+    for label, (owner, name, fn) in ops.items():
+        if label in NOT_DIFFERENTIABLE:
+            continue
 
-        def spy(*args, _name=name, _fn=fn, **kwargs):
-            called.add(_name)
+        def spy(*args, _label=label, _fn=fn, **kwargs):
+            called.add(_label)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(ad, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     for case in gradcheck.CASES:
         _, build = case.build(np.random.default_rng(0))
         called.clear()  # only what the checked loss calls counts
         build()
         covered |= called
-    return sorted(set(ops) - covered)
+    return sorted(set(ops) - NOT_DIFFERENTIABLE - covered)
 
 
 class TestEveryOpHasAGradcheckCase:
     def test_every_public_op_is_checked(self, monkeypatch):
         assert ops_without_gradcheck_case(monkeypatch) == []
+
+    def test_the_tensor_methods_are_spied_on(self, monkeypatch):
+        monkeypatch.setattr("spherekd.gradcheck.CASES", [])
+        missing = ops_without_gradcheck_case(monkeypatch)
+        assert {"Tensor.__rmul__", "Tensor.__rsub__", "Tensor.sum", "Tensor.reshape"} <= set(missing)
+        assert "Tensor.detach" not in missing
 
     def test_a_new_op_without_a_case_is_caught(self, monkeypatch):
         def doubled(x: Tensor) -> Tensor:
@@ -521,3 +552,10 @@ class TestEveryOpHasAGradcheckCase:
 
         monkeypatch.setattr(ad, "doubled", doubled, raising=False)
         assert ops_without_gradcheck_case(monkeypatch) == ["doubled"]
+
+    def test_a_new_method_without_a_case_is_caught(self, monkeypatch):
+        def halved(self) -> Tensor:
+            return self * 0.5
+
+        monkeypatch.setattr(Tensor, "halved", halved, raising=False)
+        assert ops_without_gradcheck_case(monkeypatch) == ["Tensor.halved"]

@@ -12,9 +12,8 @@ from spherekd.cli import main
 from .conftest import TOY_OVERRIDES, threads_from_8_rows
 
 
-# Mistyped and out-of-range values: each numeric key just outside its range (seed
-# takes any integer), and nan and inf for every float key. Each must exit 2
-# naming the key.
+# Mistyped and out-of-range values: each numeric key just outside its range, and
+# nan and inf for every float key. Each must exit 2 naming the key.
 BAD_VALUES = [
     "train.batch_size=abc",
     "arch.teacher_channels=5",
@@ -55,7 +54,11 @@ BAD_VALUES = [
     for key in ("data.noise_sigma", "classifier.scale", "train.learning_rate",
                 "train.momentum", "train.decay_factor", "distill.lambda_n")
     for value in (".nan", ".inf", "-.inf")
-] + ["train.decay_at=[.nan]", "train.decay_at=[0.5, .inf]"]
+] + ["train.decay_at=[.nan]", "train.decay_at=[0.5, .inf]"] + [
+    # past either end of [-2^63, 2^63), two seeds would share one 64-bit stream
+    f"seed={2**63}",
+    f"seed={-(2**63) - 1}",
+]
 
 
 def run_cli(*argv):
@@ -122,6 +125,12 @@ class TestGenData:
         err = capsys.readouterr().err
         assert override.split("=")[0] in err
         assert "Traceback" not in err
+
+    def test_seed_range_ends_accepted(self, tmp_path):
+        for seed in (-(2**63), 2**63 - 1):
+            out = tmp_path / str(seed)
+            assert run_cli("gen-data", *toy_args(out, extra=[f"seed={seed}"])) == 0
+            assert (out / "verification.txt").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code = run_cli("gen-data", "--set", "data.nclasses=4", "--out", str(tmp_path))
@@ -389,14 +398,20 @@ class TestCompare:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--seeds", "0,0"], ["--parallel", "0"], ["--parallel", "-2"]]
+        "flags",
+        [
+            ["--seeds", "0,0"],
+            ["--parallel", "0"],
+            ["--parallel", "-2"],
+            ["--seeds", f"0,{2**64}"],  # 2^64 would train seed 0's cell again
+        ],
     )
     def test_bad_flag_exits_2_before_training(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
         code = run_cli("compare", *toy_args(out), *flags)
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
-        assert not (out / "seed0").exists()
+        assert not list(out.glob("seed*"))
 
     def test_dead_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool

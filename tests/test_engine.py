@@ -6,7 +6,7 @@ import resource
 import shutil
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +205,9 @@ class TestTrainStudent:
         student_path, _ = train_student(cfg, teacher_path)
         arch = cfg.arch
         net = StagedNetwork(arch, arch.student_channels, substream(0, "s"))
-        head = ClassifierHead(cfg.data.num_train_classes, arch.embedding_dim)
+        head = ClassifierHead(
+            cfg.data.num_train_classes, arch.embedding_dim, "normalized", 16.0, substream(0, "c")
+        )
         ckpt = load_checkpoint(student_path)
         assert ckpt.meta["kind"] == kind
         assert list(ckpt.tensors) == list(state_arrays(net, head))
@@ -342,7 +344,7 @@ class TestExperimentMatrix:
 def fake_cells(accuracy):
     """Stand-in for run_seed_cells that trains nothing."""
 
-    def cells(tree, seed):
+    def cells(cfg, seed):
         return {
             row: {"verification_accuracy": accuracy, "rank1": accuracy}
             for row in ("teacher", "self_studied", "l2", "angular")
@@ -377,7 +379,8 @@ class TestDataBuiltOncePerCell:
         cfg = make_toy_config(tmp_path / "run")
         dataset = dataset_from_config(apply_overrides(cfg, ["data.pairs_per_side=20"]))
         path, _ = train_teacher(cfg, dataset=dataset)
-        assert path.read_bytes() == train_teacher(cfg, out_dir=tmp_path / "own")[0].read_bytes()
+        own = replace(cfg, output_dir=str(tmp_path / "own"))
+        assert path.read_bytes() == train_teacher(own)[0].read_bytes()
 
     def test_failed_teacher_leaves_only_its_cell(self, tmp_path, monkeypatch):
         import spherekd.engine as engine_mod
@@ -389,7 +392,7 @@ class TestDataBuiltOncePerCell:
 
         monkeypatch.setattr(engine_mod, "train_teacher", failing_teacher)
         monkeypatch.setattr(engine_mod, "train_student", lambda *a, **k: students.append(a))
-        cells = engine_mod.run_seed_cells(asdict(make_toy_config(tmp_path / "m")), 0)
+        cells = engine_mod.run_seed_cells(make_toy_config(tmp_path / "m"), 0)
         assert list(cells) == ["teacher"]
         assert "injected teacher failure" in cells["teacher"]["error"]
         assert students == []
@@ -484,7 +487,7 @@ class TestEvalPassesBuildNoGraph:
 
         monkeypatch.setattr(Tensor, "_make", recording)
         net = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
-        head = ClassifierHead(3, self.ARCH.embedding_dim, rng=substream(0, "h"))
+        head = ClassifierHead(3, self.ARCH.embedding_dim, "normalized", 16.0, substream(0, "h"))
         images = np.random.default_rng(0).normal(size=(10, 8, 8, 1))
         labels = np.arange(10) % 3
         params = list(parameters(net).values()) + [head.weight]

@@ -115,6 +115,11 @@ class TestL2DistillLoss:
         with pytest.raises(DimensionError):
             l2_distill_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
+    def test_unbatched_features_raise(self):
+        # one feature vector is not a batch: the loss takes [batch, ...] only
+        with pytest.raises(DimensionError):
+            l2_distill_loss(Tensor(np.zeros(4)), Tensor(np.ones(4)))
+
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(9)
         t = Tensor(rng.normal(size=(3, 2, 2, 2)))
@@ -137,7 +142,7 @@ class TestIntermediateAngularLoss:
 
     def _loss(self, seed, sched=(1.0, 1.0)):
         teacher, student, transforms = make_pair(seed)
-        head = ClassifierHead(4, ARCH.embedding_dim, rng=substream(seed, "cls"))
+        head = ClassifierHead(4, ARCH.embedding_dim, "normalized", 16.0, substream(seed, "cls"))
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(3, 8, 8, 1)))
         labels = rng.integers(0, 4, size=3)

@@ -8,6 +8,8 @@ from spherekd.autodiff import Tensor
 from spherekd.errors import ConfigError, ContractError, DimensionError
 from spherekd.gradcheck import check_gradients
 from spherekd.nets import (
+    BN_EPS,
+    BN_MOMENTUM,
     ArchConfig,
     BatchNorm,
     ClassifierHead,
@@ -209,7 +211,8 @@ class TestBatchNorm:
 
     def test_running_stats_updated_in_train_only(self):
         # every forward is train mode and updates them; eval mode runs folded and reads them
-        bn = BatchNorm(2, momentum=0.9)
+        assert BN_MOMENTUM == 0.9
+        bn = BatchNorm(2)
         x = Tensor(np.random.default_rng(9).normal(size=(8, 1, 1, 2)) + 3.0)
         mean, var = bn.running_mean.copy(), bn.running_var.copy()
         for _ in range(2):
@@ -228,7 +231,7 @@ class TestBatchNorm:
 class TestNamedState:
     def test_checkpoint_names_in_order(self):
         teacher, student, transforms = build_reference_pair(TINY, seed=4)
-        head = ClassifierHead(3, TINY.embedding_dim, rng=substream(4, "cls"))
+        head = ClassifierHead(3, TINY.embedding_dim, "normalized", 16.0, substream(4, "cls"))
         names = list(state_arrays(student, head, transforms[0]))
         units = ["block1", "block2"]
         assert names == [
@@ -257,19 +260,20 @@ class TestNamedState:
 def composite_batch_norm(bn, x, train=True):
     """Batch norm built from elementwise Tensor ops.
 
-    In train mode the reference for the fused op, in eval mode for the folded units.
+    In train mode the reference for the fused op, in eval mode for the folded
+    units. A per-channel statistic broadcasts against the channels-last input.
     """
     axes = tuple(range(x.ndim - 1))
     if train:
-        mean = x.mean(axis=axes, keepdims=True)
+        mean = x.mean(axis=axes)
         centered = x - mean
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        xhat = centered / ((var + bn.eps) ** 0.5)
-        m = bn.momentum
-        bn.running_mean = m * bn.running_mean + (1.0 - m) * mean.data.reshape(-1)
-        bn.running_var = m * bn.running_var + (1.0 - m) * var.data.reshape(-1)
+        var = (centered * centered).mean(axis=axes)
+        xhat = centered * (var + BN_EPS) ** -0.5
+        m = BN_MOMENTUM
+        bn.running_mean = m * bn.running_mean + (1.0 - m) * mean.data
+        bn.running_var = m * bn.running_var + (1.0 - m) * var.data
     else:
-        xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+        xhat = (x - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + BN_EPS))
     return xhat * bn.gamma + bn.beta
 
 
@@ -347,19 +351,19 @@ class TestClassifierHead:
         assert np.array_equal(np.argmax(l1, axis=1), np.argmax(l2, axis=1))
 
     def test_plain_mode_hand_logits(self):
-        head = ClassifierHead(2, 3, mode="plain", rng=substream(2, "cls"))
+        head = ClassifierHead(2, 3, "plain", 16.0, substream(2, "cls"))
         head.weight.data = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
         f = np.array([[2.0, 3.0, -1.0]])
         logits = head.logits(Tensor(f))
         np.testing.assert_allclose(logits.data, [[2.0 * 1 + 3 * 0 + (-1) * 2, -3.0 - 1.0]])
 
     def test_bias_is_structurally_absent(self):
-        head = ClassifierHead(3, 4, rng=substream(3, "cls"))
+        head = ClassifierHead(3, 4, "normalized", 16.0, substream(3, "cls"))
         assert not hasattr(head, "bias")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            ClassifierHead(3, 4, mode="cosface")
+            ClassifierHead(3, 4, "cosface", 16.0, substream(3, "cls"))
 
 
 class TestReferencePair:
