@@ -175,13 +175,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .engine import format_report, run_experiment_matrix
+    from .engine import check_matrix_arguments, format_report, run_experiment_matrix
 
     cfg = _effective_config(args)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
+    check_matrix_arguments(cfg, seeds, args.parallel)  # before anything is written
     out = _announce(cfg)
     report = run_experiment_matrix(cfg, seeds, parallel=args.parallel)
     print(format_report(report), end="")

@@ -31,6 +31,7 @@ from .data import (
     SyntheticIdentityDataset,
     build_identification_protocol,
     build_verification_protocol,
+    chunk_bounds,
     generate_dataset,
 )
 from .errors import ConfigError, NumericError
@@ -119,12 +120,16 @@ def _train_eval_stats(net, head, images, labels, batch_size=64) -> tuple[float, 
     return float(all_losses.mean()), hits / len(labels)
 
 
-def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, batch_size=64):
+def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, batch_size=32):
     """Eval-mode teacher outputs for the whole training set.
 
     The teacher is frozen, so its features per sample never change during the
     student's training; caching them once avoids a forward pass per step.
-    Each batch is written into arrays allocated once for the whole set.
+    Each batch is written into arrays allocated once for the whole set. The
+    batches are laid out as `evaluate._embed` lays out its own: batch_size
+    rows, a last batch of fewer than batch_size // 2 joining the one before,
+    so no row's outputs depend on the split. Batches of 32 rows keep the
+    largest column matrix (stage 1's second unit) at 4.7 MB beside the cache.
     """
     if kind == "none" or teacher is None:
         return None, None
@@ -135,9 +140,9 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     if kind == "l2":  # composite_loss reads stages 1..n-1 only
         sides = arch.stage_sizes()[:-1]
         feats_all = [np.empty((n, s, s, c)) for s, c in zip(sides, teacher.channels)]
+    bounds = chunk_bounds(n, batch_size, batch_size // 2)
     with no_grad():
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
+        for start, stop in zip(bounds, bounds[1:]):
             feats, emb = folded.forward(Tensor(images[start:stop]))
             emb_all[start:stop] = emb.data
             if feats_all is not None:
@@ -302,7 +307,8 @@ def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, N
     Only the network's own tensors are read: evaluation never uses the
     classifier, so a checkpoint without `classifier.weight` loads the same.
     A loaded network is only evaluated or distilled from, never trained, so
-    it is frozen here and its units are folded once.
+    it is frozen here: it keeps its folded units and its head, and the
+    unfolded values restored from the checkpoint are dropped.
     """
     teacher = ckpt.meta.get("role") == "teacher"
     channels = cfg.arch.teacher_channels if teacher else cfg.arch.student_channels
@@ -313,7 +319,11 @@ def _rebuild_network(cfg: RunConfig, ckpt: Checkpoint) -> tuple[StagedNetwork, N
 
 
 def load_network(cfg: RunConfig, path: str | Path, role: str | None = None) -> StagedNetwork:
-    """The network of the checkpoint at `path`, checked against the config's architecture."""
+    """The network of the checkpoint at `path`, checked against the config's architecture.
+
+    The network comes back frozen (see `_rebuild_network`): folded units and
+    a constant head only.
+    """
     ckpt = load_checkpoint(path)
     if role is not None and ckpt.meta.get("role") != role:
         raise ConfigError(f"{path}: checkpoint role is {ckpt.meta.get('role')!r}, not {role}")
@@ -391,11 +401,10 @@ def run_seed_cells(base: RunConfig, seed: int) -> dict:
     return cells
 
 
-def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -> dict:
-    """Teacher plus self-studied / exact-match / angular students per seed.
+def check_matrix_arguments(cfg: RunConfig, seeds: list[int], parallel: int) -> None:
+    """Raise ConfigError unless `run_experiment_matrix` can run `cfg` over these arguments.
 
-    With `parallel` > 1 the seed cells run in at most one spawned process
-    per seed, each with its share of the BLAS threads.
+    `compare` calls it before it writes anything to the output directory.
     """
     cfg.validate()
     if not seeds:
@@ -406,6 +415,15 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
         raise ConfigError(f"duplicate seeds in {seeds}: each seed writes its own seed<N>/ files")
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
+
+
+def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -> dict:
+    """Teacher plus self-studied / exact-match / angular students per seed.
+
+    With `parallel` > 1 the seed cells run in at most one spawned process
+    per seed, each with its share of the BLAS threads.
+    """
+    check_matrix_arguments(cfg, seeds, parallel)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

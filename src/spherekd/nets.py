@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 from .rng import substream
 
 
@@ -113,7 +113,9 @@ class FoldedUnit:
     Eval-mode batch norm is the affine map y * scale + (beta - running_mean *
     scale) with scale = gamma / sqrt(running_var + eps): the scale goes into
     the live-tap weight matrix of the unit's input side, the rest into a
-    per-channel shift.
+    per-channel shift. The unit holds only those two and the PReLU slopes,
+    as plain arrays, so no gradient reaches them; it keeps nothing of the
+    ConvUnit it was folded from.
     """
 
     def __init__(self, unit: ConvUnit, side: int):
@@ -129,13 +131,17 @@ class FoldedUnit:
 
 
 class StagedNetwork:
-    """Stages of `arch.block_depth` conv units, the first with stride 2, then a linear head."""
+    """Stages of `arch.block_depth` conv units, the first with stride 2, then a linear head.
+
+    `freeze` replaces each ConvUnit by its FoldedUnit, so a frozen network
+    holds folded units and a constant head only.
+    """
 
     def __init__(self, arch: ArchConfig, channels: tuple[int, ...], rng: np.random.Generator):
         arch.validate()
         self.arch = arch
         self.channels = tuple(channels)
-        self.stages: list[list[ConvUnit]] = [
+        self.stages: list[list[ConvUnit | FoldedUnit]] = [
             [ConvUnit(c if k else c_in, c, 1 if k else 2, rng) for k in range(arch.block_depth)]
             for c_in, c in zip((arch.in_channels, *channels), channels)
         ]
@@ -145,33 +151,35 @@ class StagedNetwork:
             rng.normal(0.0, np.sqrt(2.0 / self.flat_dim), size=(self.flat_dim, arch.embedding_dim)),
             requires_grad=True,
         )
-        # set by freeze(); the folded units only, so that no cycle keeps the network alive
-        self._folded_units: list[list[FoldedUnit]] | None = None
 
     @property
     def num_stages(self) -> int:
         return len(self.stages)
 
     def folded(self) -> "FoldedNetwork":
-        """The network in eval mode: its units folded once by `freeze`, otherwise now."""
-        units = self._folded_units
-        if units is None:
-            sides = [self.arch.input_size, *self.arch.stage_sizes()]
-            units = [
-                [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
-                for i, stage in enumerate(self.stages)
-            ]
+        """The network in eval mode: a frozen network's units as they stand, others folded now.
+
+        A frozen network gives back its own FoldedUnits, the same objects on
+        every call; any other network's units are folded at their input
+        sides from the values they hold now.
+        """
+        if isinstance(self.stages[0][0], FoldedUnit):  # frozen
+            return FoldedNetwork(self, self.stages)
+        sides = [self.arch.input_size, *self.arch.stage_sizes()]
+        units = [
+            [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
+            for i, stage in enumerate(self.stages)
+        ]
         return FoldedNetwork(self, units)
 
     def forward(self, batch: Tensor) -> tuple[list[Tensor], Tensor]:
-        """All stage features F_1..F_n plus the embedding of the last one, in train mode.
+        """All stage features F_1..F_n plus the embedding of the last one, through `stages`.
 
-        Every batch norm updates its running estimates. Eval mode is
-        `folded().forward`. A frozen network only runs folded: its folded
-        units would no longer match its values, so this raises ContractError.
+        Before `freeze` this is train mode: every batch norm updates its
+        running estimates, and eval mode is `folded().forward`. A frozen
+        network holds only folded units, so its forward is its eval-mode
+        pass and changes no state.
         """
-        if self._folded_units is not None:
-            raise ContractError("a frozen network runs only in eval mode: use folded().forward")
         return self._run(Tensor._lift(batch), self.stages)
 
     def _run(self, x: Tensor, stages: list[list]) -> tuple[list[Tensor], Tensor]:
@@ -197,8 +205,9 @@ class StagedNetwork:
     def tail(self, stage: int, feature: Tensor) -> Tensor:
         """Embed `feature` by running stages stage+1..n and the head.
 
-        The tail always runs in eval mode: a frozen network is a fixed
-        function. Gradients still flow through to `feature`.
+        The tail always runs in eval mode, on the folded units of `folded()`:
+        a frozen network's own, which it holds as a fixed function.
+        Gradients still flow through to `feature`.
         """
         if not 1 <= stage <= self.num_stages:
             raise DimensionError(f"stage {stage} outside 1..{self.num_stages}")
@@ -218,7 +227,11 @@ class StagedNetwork:
     # -- named state --------------------------------------------------------
 
     def state(self) -> dict[str, Tensor | np.ndarray]:
-        """Parameters, then batch-norm buffers, under their checkpoint names."""
+        """Parameters, then batch-norm buffers, under their checkpoint names.
+
+        Only a network that is not frozen has them: a frozen one is never
+        trained or saved, and its folded units hold plain arrays.
+        """
         params: dict[str, Tensor] = {}
         buffers: dict[str, np.ndarray] = {}
         for i, stage in enumerate(self.stages, start=1):
@@ -332,16 +345,16 @@ def parameters(*modules) -> dict[str, Tensor]:
 
 
 def freeze(net: StagedNetwork) -> None:
-    """Stop gradients into every parameter of `net`, and fold it once.
+    """Make `net` a fixed function: fold each ConvUnit once and keep only the folds.
 
-    A frozen network is a fixed function: it runs only as the units folded
-    here, so none of its values may change after, and its train-mode
-    `forward` raises.
+    Each unit is folded at its input side, as `folded()` does, and its
+    FoldedUnit takes its place in `net.stages`; the head weight becomes a
+    constant. A frozen network then holds folded live-tap matrices, shifts,
+    slopes and its head, no value that could take a gradient, and every pass
+    of it (`forward`, `folded().forward`, `tail`) runs those units.
     """
-    for p in parameters(net).values():
-        p.requires_grad = False
-        p.grad = None
-    net._folded_units = net.folded().stages
+    net.stages = net.folded().stages
+    net.head_weight = Tensor(net.head_weight.data)
 
 
 def state_arrays(*modules) -> dict[str, np.ndarray]:

@@ -1,9 +1,12 @@
-"""Shared fixtures: a fast toy configuration for end-to-end runs, and threads for toy sizes."""
+"""Shared fixtures: a fast toy configuration for end-to-end runs, threads for toy sizes,
+and a check that a frozen network takes no gradient."""
 
 import pytest
 
 import spherekd.evaluate as evaluate_mod
+from spherekd.autodiff import Tensor
 from spherekd.config import RunConfig, apply_overrides
+from spherekd.nets import FoldedUnit
 
 TOY_OVERRIDES = [
     "arch.input_size=8",
@@ -50,3 +53,17 @@ def threads_from_8_rows(monkeypatch) -> list[int]:
         evaluate_mod, "ThreadPoolExecutor", lambda threads: started.append(threads) or original(threads)
     )
     return started
+
+
+def takes_no_gradient(net) -> bool:
+    """True when no value of the frozen `net` requires or holds a gradient.
+
+    Its stages hold only FoldedUnits, whose values are plain arrays that no
+    backward reaches, and its head weight is a constant Tensor.
+    """
+    units = [unit for stage in net.stages for unit in stage]
+    if not all(isinstance(unit, FoldedUnit) for unit in units):
+        return False
+    if any(isinstance(v, Tensor) for unit in units for v in vars(unit).values()):
+        return False
+    return not net.head_weight.requires_grad and net.head_weight.grad is None

@@ -404,6 +404,7 @@ class TestCompare:
             ["--parallel", "0"],
             ["--parallel", "-2"],
             ["--seeds", f"0,{2**64}"],  # 2^64 would train seed 0's cell again
+            ["--seeds", ""],
         ],
     )
     def test_bad_flag_exits_2_before_training(self, tmp_path, capsys, flags):
@@ -412,6 +413,7 @@ class TestCompare:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not list(out.glob("seed*"))
+        assert not out.exists() or not list(out.rglob("*"))  # not even effective_config.yaml
 
     def test_dead_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool

@@ -11,9 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spherekd import autodiff as ad
 from spherekd import engine
-from spherekd.autodiff import Tensor, topo_order
-from spherekd.checkpoint import load_checkpoint
+from spherekd.autodiff import Tensor, no_grad, topo_order
+from spherekd.checkpoint import Checkpoint, fingerprint_arch, load_checkpoint, save_checkpoint
 from spherekd.config import RunConfig, apply_overrides
 from spherekd.engine import (
     _precompute_teacher,
@@ -21,6 +22,7 @@ from spherekd.engine import (
     dataset_from_config,
     evaluate_checkpoint,
     evaluate_network,
+    load_network,
     protocols_from_config,
     run_experiment_matrix,
     train_student,
@@ -31,6 +33,7 @@ from spherekd.evaluate import extract_embeddings, rank1_identification, verifica
 from spherekd.nets import (
     ArchConfig,
     ClassifierHead,
+    ConvUnit,
     FoldedNetwork,
     StagedNetwork,
     parameters,
@@ -39,6 +42,7 @@ from spherekd.nets import (
 from spherekd.rng import substream
 
 from .conftest import make_toy_config
+from .test_nets import randomized
 
 
 def read_records(path):
@@ -504,3 +508,54 @@ class TestEvalPassesBuildNoGraph:
         made.clear()
         net.folded().forward(Tensor(images[:4]))
         assert any(t.requires_grad for t in made)
+
+
+def default_teacher(seed):
+    """A default-architecture teacher with random batch-norm state, as after training."""
+    arch = ArchConfig()
+    return randomized(StagedNetwork(arch, arch.teacher_channels, substream(seed, "t")), seed)
+
+
+class TestFrozenTeacher:
+    def test_a_loaded_teacher_holds_only_its_folded_units(self, tmp_path):
+        net = default_teacher(21)
+        ckpt = Checkpoint(fingerprint_arch(net.arch), state_arrays(net), {"role": "teacher"})
+        loaded = load_network(RunConfig(), save_checkpoint(tmp_path / "t.ckpt", ckpt), "teacher")
+        assert not any(isinstance(unit, ConvUnit) for stage in loaded.stages for unit in stage)
+        assert not loaded.head_weight.requires_grad
+
+        x = Tensor(np.random.default_rng(21).normal(size=(8, 16, 16, 1)))
+        with no_grad():
+            ref_feats, ref_emb = net.folded().forward(x)  # before any freeze
+            for forward in (loaded.forward, loaded.folded().forward):
+                feats, emb = forward(x)
+                assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats))
+                assert np.array_equal(emb.data, ref_emb.data)
+            for stage in range(1, net.num_stages + 1):
+                f = ref_feats[stage - 1]
+                assert np.array_equal(loaded.tail(stage, f).data, net.tail(stage, f).data)
+
+    def test_precompute_equals_a_64_row_pass_in_batches_of_16_rows_or_more(self, monkeypatch):
+        net = default_teacher(22)
+        images = np.random.default_rng(22).normal(size=(140, 16, 16, 1))
+        ref_feats, ref_embs = [], []
+        with no_grad():
+            folded = net.folded()
+            for start, stop in ((0, 64), (64, 140)):
+                feats, emb = folded.forward(Tensor(images[start:stop]))
+                ref_feats.append([f.data for f in feats[:-1]])
+                ref_embs.append(emb.data)
+
+        rows = []
+        for name in ("conv_unit", "matmul"):
+            original = getattr(ad, name)
+            monkeypatch.setattr(
+                ad, name, lambda x, *a, _f=original, **k: rows.append(x.shape[0]) or _f(x, *a, **k)
+            )
+        feats, emb = _precompute_teacher(net, images, "l2")
+        # 140 rows: 32, 32, 32 and 44, the last 12 joining the batch before
+        assert sorted(set(rows)) == [32, 44] and min(rows) >= 16
+        assert np.array_equal(emb, np.concatenate(ref_embs))
+        for i, f in enumerate(feats):
+            assert np.array_equal(f, np.concatenate([r[i] for r in ref_feats]))
+        assert np.array_equal(_precompute_teacher(net, images, "angular")[1], emb)

@@ -5,7 +5,7 @@ import pytest
 
 from spherekd import autodiff as ad
 from spherekd.autodiff import Tensor
-from spherekd.errors import ConfigError, ContractError, DimensionError
+from spherekd.errors import ConfigError, DimensionError
 from spherekd.gradcheck import check_gradients
 from spherekd.nets import (
     BN_EPS,
@@ -21,6 +21,8 @@ from spherekd.nets import (
     state_arrays,
 )
 from spherekd.rng import substream
+
+from .conftest import takes_no_gradient
 
 TINY = ArchConfig(
     input_size=8,
@@ -125,11 +127,10 @@ class TestTeacherTail:
     def test_frozen_params_get_no_grads(self):
         net = tiny_teacher()
         freeze(net)
-        x = Tensor(np.random.default_rng(7).normal(size=(2, 8, 8, 1)))
         f = Tensor(np.random.default_rng(8).normal(size=(2, 4, 4, 4)), requires_grad=True)
         (net.tail(1, f) ** 2).mean().backward()
         assert f.grad is not None
-        assert all(p.grad is None for p in parameters(net).values())
+        assert takes_no_gradient(net)
 
 
 def randomized(net, seed):
@@ -169,10 +170,10 @@ class TestFoldedUnits:
         arch = ArchConfig()
         channels = arch.teacher_channels if role == "teacher" else arch.student_channels
         net = randomized(StagedNetwork(arch, channels, substream(batch, role)), seed=batch)
-        freeze(net)
         x = Tensor(np.random.default_rng(batch).normal(size=(batch, 16, 16, 1)))
-        reference = unfolded_features(net, x)
+        reference = unfolded_features(net, x)  # the unfolded units are gone once frozen
         ref_emb = net.head(reference[-1]).data
+        freeze(net)
         feats, emb = net.folded().forward(x)
         assert all(close(f.data, r.data) for f, r in zip(feats, reference))
         assert close(emb.data, ref_emb)
@@ -182,21 +183,28 @@ class TestFoldedUnits:
     def test_a_frozen_network_folds_once(self):
         net = tiny_teacher()
         # folded from the values as they stand
-        assert net.folded().stages is not net.folded().stages
+        assert net.folded().stages[0][0] is not net.folded().stages[0][0]
         freeze(net)
-        assert net.folded().stages is net.folded().stages
+        units = [unit for stage in net.stages for unit in stage]
+        for _ in range(2):
+            folded = [unit for stage in net.folded().stages for unit in stage]
+            assert len(folded) == len(units)
+            assert all(a is b for a, b in zip(folded, units))
 
     def test_a_frozen_network_has_no_train_mode_forward(self):
         net = tiny_teacher()
         x = Tensor(np.random.default_rng(15).normal(size=(2, 8, 8, 1)))
         net.forward(x)
         freeze(net)
-        before = {k: v.copy() for k, v in state_arrays(net).items()}
-        with pytest.raises(ContractError, match="folded"):
-            net.forward(x)
-        after = state_arrays(net)
-        assert all(np.array_equal(after[k], v) for k, v in before.items())
-        net.folded().forward(x)
+        values = [(u.wmat.copy(), u.shift.copy(), u.slope.copy()) for s in net.stages for u in s]
+        head = net.head_weight.data.copy()
+        feats, emb = net.forward(x)
+        ref_feats, ref_emb = net.folded().forward(x)
+        assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats))
+        assert np.array_equal(emb.data, ref_emb.data)
+        after = [(u.wmat, u.shift, u.slope) for s in net.stages for u in s]
+        assert all(np.array_equal(a, b) for v, w in zip(values, after) for a, b in zip(v, w))
+        assert np.array_equal(net.head_weight.data, head)
 
 
 class TestBatchNorm:
@@ -395,8 +403,9 @@ class TestReferencePair:
 
     def test_freeze_marks_all_params(self):
         teacher, _, _ = build_reference_pair(TINY, seed=2)
+        teacher.head_weight.grad = np.ones_like(teacher.head_weight.data)  # as after training
         freeze(teacher)
-        assert all(not p.requires_grad for p in parameters(teacher).values())
+        assert takes_no_gradient(teacher)
 
     def test_same_seed_same_weights(self):
         t1, s1, tr1 = build_reference_pair(TINY, seed=3)
