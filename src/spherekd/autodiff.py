@@ -10,9 +10,11 @@ Design notes:
     topological order; accumulation order is fixed by construction order, so
     gradients are bitwise reproducible. The walk frees each node's closure,
     parents and gradient once it has run, so a graph serves one backward.
-  * Inside `no_grad()` no graph is recorded, whatever the parameters'
-    `requires_grad`: eval passes over a frozen or rebuilt network keep no
-    closures and no saved activations alive.
+  * An op records a graph node only when an input requires a gradient,
+    and never inside `no_grad()`. A frozen network holds only constants,
+    so its pass over a constant input records nothing and keeps no
+    closures or saved activations alive; `no_grad()` serves a pass that
+    also reads a trainable value, such as a classifier head.
   * A training unit of the networks is three ops, each one graph node: the
     3x3 conv is one im2col matrix product per pass over the taps that read
     real pixels, and batch norm, which normalizes with batch statistics, has

@@ -105,15 +105,18 @@ def _schedule_for(cfg: RunConfig, total_steps: int) -> LrSchedule:
     return LrSchedule(cfg.train.learning_rate, decay_steps, cfg.train.decay_factor)
 
 
-def _train_eval_stats(net, head, images, labels, batch_size=64) -> tuple[float, float]:
-    """Eval-mode classification loss and accuracy over the given samples."""
-    folded = net.folded()
+def _train_eval_stats(net, head, images, labels, batch_size=32) -> tuple[float, float]:
+    """Eval-mode classification loss and accuracy of the frozen `net` over the given samples.
+
+    The batches are laid out as in `_precompute_teacher`. The head is still
+    trainable, so the pass runs under `no_grad`.
+    """
     losses, hits = [], 0
+    bounds = chunk_bounds(len(labels), batch_size, batch_size // 2)
     with no_grad():
-        for start in range(0, len(labels), batch_size):
-            x = Tensor(images[start : start + batch_size])
-            y = labels[start : start + batch_size]
-            logits = head.logits(folded.forward(x)[1])
+        for start, stop in zip(bounds, bounds[1:]):
+            y = labels[start:stop]
+            logits = head.logits(net.forward(Tensor(images[start:stop]))[1])
             losses.append(softmax_cross_entropy(logits, y).data)
             hits += int(np.sum(np.argmax(logits.data, axis=1) == y))
     all_losses = np.concatenate(losses)
@@ -121,7 +124,7 @@ def _train_eval_stats(net, head, images, labels, batch_size=64) -> tuple[float, 
 
 
 def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, batch_size=32):
-    """Eval-mode teacher outputs for the whole training set.
+    """Eval-mode outputs of the frozen teacher for the whole training set.
 
     The teacher is frozen, so its features per sample never change during the
     student's training; caching them once avoids a forward pass per step.
@@ -133,7 +136,6 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     """
     if kind == "none" or teacher is None:
         return None, None
-    folded = teacher.folded()
     n, arch = images.shape[0], teacher.arch
     emb_all = np.empty((n, arch.embedding_dim))
     feats_all = None
@@ -141,13 +143,12 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
         sides = arch.stage_sizes()[:-1]
         feats_all = [np.empty((n, s, s, c)) for s, c in zip(sides, teacher.channels)]
     bounds = chunk_bounds(n, batch_size, batch_size // 2)
-    with no_grad():
-        for start, stop in zip(bounds, bounds[1:]):
-            feats, emb = folded.forward(Tensor(images[start:stop]))
-            emb_all[start:stop] = emb.data
-            if feats_all is not None:
-                for dst, f in zip(feats_all, feats):
-                    dst[start:stop] = f.data
+    for start, stop in zip(bounds, bounds[1:]):
+        feats, emb = teacher.forward(Tensor(images[start:stop]))
+        emb_all[start:stop] = emb.data
+        if feats_all is not None:
+            for dst, f in zip(feats_all, feats):
+                dst[start:stop] = f.data
     return feats_all, emb_all
 
 
@@ -218,7 +219,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     and in the distillation terms its loss adds, which need the frozen
     teacher and the transforms of stages 1..n-1 (the final stage compares
     embeddings directly). The checkpoint holds the network and the
-    classifier, not the transforms, and goes to `cfg.output_dir`.
+    classifier, not the transforms, and goes to `cfg.output_dir`; its
+    arrays are taken before the network is frozen for the final train-set
+    statistics.
     `dataset`, if given, must be the config's own; None generates it.
     """
     cfg.validate()
@@ -261,6 +264,8 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     logger = MetricsLogger(out / f"{stem}_metrics.jsonl")
     try:
         _fit(cfg, role, kind, teacher, modules, lambdas, images, labels, epochs, logger)
+        tensors = state_arrays(net, head)
+        freeze(net)
         train_loss, train_accuracy = _train_eval_stats(net, head, images, labels)
         logger.write(
             {
@@ -282,7 +287,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     }
     if student:
         meta["kind"] = kind
-    ckpt = Checkpoint(fingerprint_arch(arch), state_arrays(net, head), meta)
+    ckpt = Checkpoint(fingerprint_arch(arch), tensors, meta)
     path = save_checkpoint(out / f"{stem}.ckpt", ckpt)
     return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
 

@@ -13,10 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .data import IdentificationProtocol, VerificationProtocol, chunk_bounds
-from .errors import DimensionError, NumericError
-from .nets import FoldedNetwork, StagedNetwork
+from .errors import ContractError, DimensionError, NumericError
+from .nets import StagedNetwork
 from .parallel import blas_threads, cpu_count, hold_blas_threads
 
 # probes per similarity block in rank-1 identification: the block takes
@@ -34,7 +34,7 @@ ROWS_PER_WORKER = 2048
 
 
 def _embed(
-    net: FoldedNetwork, images: np.ndarray, order: np.ndarray, batch_size: int, out: np.ndarray
+    net: StagedNetwork, images: np.ndarray, order: np.ndarray, batch_size: int, out: np.ndarray
 ) -> None:
     """Write the raw embeddings of `images[order]` to `out`, batch_size rows at a time.
 
@@ -51,33 +51,35 @@ def _embed(
 def extract_embeddings(
     net: StagedNetwork, images: np.ndarray, rows: np.ndarray | None = None, batch_size: int = 64
 ) -> np.ndarray:
-    """Unit-normalized eval-mode embeddings, one row per image.
+    """Unit-normalized eval-mode embeddings of the frozen `net`, one row per image.
 
-    The network is folded once on entry (see `StagedNetwork.folded`). With
-    `rows`, only those images are embedded, in the given order; the other
-    rows of the table stay zero. From ROWS_PER_WORKER rows per thread
-    on, the rows are split into contiguous parts, one per thread, with at
-    most one thread per CPU and per BLAS thread; each thread embeds its part
-    in batches of batch_size // threads rows, so batch_size rows are in
+    A network that is not frozen (see `nets.freeze`) raises ContractError:
+    its forward would run in train mode. A frozen network holds only
+    constants, so embedding records no graph, on any thread. With `rows`,
+    only those images are embedded, in the given order; the other rows of
+    the table stay zero. From ROWS_PER_WORKER rows per thread on, the rows
+    are split into contiguous parts, one per thread, with at most one
+    thread per CPU and per BLAS thread; each thread embeds its part in
+    batches of batch_size // threads rows, so batch_size rows are in
     flight, and OpenBLAS is held at one thread meanwhile. Raises
     NumericError when an embedded row is not finite.
     """
+    if not net.frozen:
+        raise ContractError("extract_embeddings: the network is not frozen (see nets.freeze)")
     if images.ndim != 4:
         raise DimensionError(f"expected images [N,h,w,c], got {images.shape}")
     n = images.shape[0]
     order = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    folded = net.folded()
     picked = np.empty((len(order), net.arch.embedding_dim))
     threads = min(cpu_count(), blas_threads(), len(order) // ROWS_PER_WORKER)
-    with no_grad():  # a module flag, so it holds in the threads too
-        if threads > 1:
-            parts = zip(np.array_split(order, threads), np.array_split(picked, threads))
-            step = max(1, batch_size // threads)
-            with hold_blas_threads(1), ThreadPoolExecutor(threads) as pool:
-                for done in [pool.submit(_embed, folded, images, o, step, out) for o, out in parts]:
-                    done.result()
-        else:
-            _embed(folded, images, order, batch_size, picked)
+    if threads > 1:
+        parts = zip(np.array_split(order, threads), np.array_split(picked, threads))
+        step = max(1, batch_size // threads)
+        with hold_blas_threads(1), ThreadPoolExecutor(threads) as pool:
+            for done in [pool.submit(_embed, net, images, o, step, out) for o, out in parts]:
+                done.result()
+    else:
+        _embed(net, images, order, batch_size, picked)
     bad = ~np.isfinite(picked).all(axis=1)
     if bad.any():
         raise NumericError(

@@ -78,8 +78,8 @@ def composite_loss(
 ) -> tuple[Tensor, dict[str, float]]:
     """Classification loss plus `lambdas`-weighted per-stage distillation terms.
 
-    The student and its transforms run in train mode, the teacher folded
-    (eval mode). kind "none" ignores the teacher entirely. kind "l2" compares
+    The student and its transforms run in train mode, the frozen teacher in
+    eval mode. kind "none" ignores the teacher entirely. kind "l2" compares
     transformed stage features by squared distance; kind "angular" routes
     intermediate features through the teacher tail and compares directions.
     Stage n always compares the d-dim embeddings. `teacher_out` may carry
@@ -105,7 +105,7 @@ def composite_loss(
     if len(lambdas) != n:
         raise ConfigError(f"{len(lambdas)} distillation weights for {n} stages")
     if teacher_out is None:
-        feats_t, emb_t = teacher.folded().forward(batch)
+        feats_t, emb_t = teacher.forward(batch)
     else:
         feats_t, emb_t = teacher_out
 

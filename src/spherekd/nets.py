@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
 from .rng import substream
 
 
@@ -156,43 +156,25 @@ class StagedNetwork:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def folded(self) -> "FoldedNetwork":
-        """The network in eval mode: a frozen network's units as they stand, others folded now.
-
-        A frozen network gives back its own FoldedUnits, the same objects on
-        every call; any other network's units are folded at their input
-        sides from the values they hold now.
-        """
-        if isinstance(self.stages[0][0], FoldedUnit):  # frozen
-            return FoldedNetwork(self, self.stages)
-        sides = [self.arch.input_size, *self.arch.stage_sizes()]
-        units = [
-            [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
-            for i, stage in enumerate(self.stages)
-        ]
-        return FoldedNetwork(self, units)
+    @property
+    def frozen(self) -> bool:
+        """True once `freeze` has put each unit's fold in its place."""
+        return isinstance(self.stages[0][0], FoldedUnit)
 
     def forward(self, batch: Tensor) -> tuple[list[Tensor], Tensor]:
         """All stage features F_1..F_n plus the embedding of the last one, through `stages`.
 
         Before `freeze` this is train mode: every batch norm updates its
-        running estimates, and eval mode is `folded().forward`. A frozen
-        network holds only folded units, so its forward is its eval-mode
-        pass and changes no state.
+        running estimates. A frozen network holds only folded units, so its
+        forward is its eval-mode pass and changes no state. Only the input
+        is checked: each later stage reads the output of the one before it.
         """
-        return self._run(Tensor._lift(batch), self.stages)
-
-    def _run(self, x: Tensor, stages: list[list]) -> tuple[list[Tensor], Tensor]:
-        """Stage features and embedding of `x` through the units of each stage.
-
-        Only the input is checked: each later stage reads the output of the
-        one before it.
-        """
+        x = Tensor._lift(batch)
         c_in = self.arch.in_channels
         if x.ndim != 4 or x.shape[-1] != c_in:
             raise DimensionError(f"stage 1: expected input [B,h,w,{c_in}], got {x.shape}")
         features: list[Tensor] = []
-        for units in stages:
+        for units in self.stages:
             for unit in units:
                 x = unit.forward(x)
             features.append(x)
@@ -205,10 +187,13 @@ class StagedNetwork:
     def tail(self, stage: int, feature: Tensor) -> Tensor:
         """Embed `feature` by running stages stage+1..n and the head.
 
-        The tail always runs in eval mode, on the folded units of `folded()`:
-        a frozen network's own, which it holds as a fixed function.
-        Gradients still flow through to `feature`.
+        The tail runs only on a frozen network, so always in eval mode: a
+        network that is not frozen raises ContractError, as its units would
+        run in train mode and update their running estimates. Gradients
+        still flow through to `feature`.
         """
+        if not self.frozen:
+            raise ContractError("tail: the network is not frozen (see nets.freeze)")
         if not 1 <= stage <= self.num_stages:
             raise DimensionError(f"stage {stage} outside 1..{self.num_stages}")
         feature = Tensor._lift(feature)
@@ -219,7 +204,7 @@ class StagedNetwork:
                 f"stage {stage}: tail expects [B,{side},{side},{expected_c}], got {feature.shape}"
             )
         x = feature
-        for units in self.folded().stages[stage:]:
+        for units in self.stages[stage:]:
             for unit in units:
                 x = unit.forward(x)
         return self.head(x)
@@ -230,8 +215,11 @@ class StagedNetwork:
         """Parameters, then batch-norm buffers, under their checkpoint names.
 
         Only a network that is not frozen has them: a frozen one is never
-        trained or saved, and its folded units hold plain arrays.
+        trained or saved, and its folded units hold plain arrays, so it
+        raises ContractError.
         """
+        if self.frozen:
+            raise ContractError("a frozen network has no parameters or buffers, only folded units")
         params: dict[str, Tensor] = {}
         buffers: dict[str, np.ndarray] = {}
         for i, stage in enumerate(self.stages, start=1):
@@ -248,18 +236,6 @@ class StagedNetwork:
 
     def param_count(self) -> int:
         return sum(p.data.size for p in parameters(self).values())
-
-
-class FoldedNetwork:
-    """A StagedNetwork in eval mode: each stage's conv units as FoldedUnits, then the head."""
-
-    def __init__(self, net: StagedNetwork, stages: list[list[FoldedUnit]]):
-        self.net = net
-        self.stages = stages
-
-    def forward(self, batch: Tensor) -> tuple[list[Tensor], Tensor]:
-        """All stage features F_1..F_n plus the embedding of the last one."""
-        return self.net._run(Tensor._lift(batch), self.stages)
 
 
 class StudentTransform:
@@ -347,13 +323,20 @@ def parameters(*modules) -> dict[str, Tensor]:
 def freeze(net: StagedNetwork) -> None:
     """Make `net` a fixed function: fold each ConvUnit once and keep only the folds.
 
-    Each unit is folded at its input side, as `folded()` does, and its
-    FoldedUnit takes its place in `net.stages`; the head weight becomes a
-    constant. A frozen network then holds folded live-tap matrices, shifts,
-    slopes and its head, no value that could take a gradient, and every pass
-    of it (`forward`, `folded().forward`, `tail`) runs those units.
+    Each unit is folded at its input side from the values it holds now, and
+    its FoldedUnit takes its place in `net.stages`; the head weight becomes
+    a constant. A frozen network then holds folded live-tap matrices,
+    shifts, slopes and its head, no value that could take a gradient, and
+    every pass of it (`forward`, `tail`) runs those units. A frozen network
+    is left as it is.
     """
-    net.stages = net.folded().stages
+    if net.frozen:
+        return
+    sides = [net.arch.input_size, *net.arch.stage_sizes()]
+    net.stages = [
+        [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
+        for i, stage in enumerate(net.stages)
+    ]
     net.head_weight = Tensor(net.head_weight.data)
 
 

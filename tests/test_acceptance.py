@@ -198,14 +198,15 @@ def test_criterion_07_oracle_equivalence():
 def test_criterion_08_composition_invariant():
     arch = ArchConfig()
     net = StagedNetwork(arch, arch.teacher_channels, substream(5, "teacher-init"))
+    freeze(net)
     rng = np.random.default_rng(41)
     split_ok = True
     for _ in range(10):
         x = Tensor(rng.normal(size=(2, 16, 16, 1)))
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         for split in range(1, net.num_stages + 1):
             y = feats[split - 1]
-            for units in net.folded().stages[split:]:
+            for units in net.stages[split:]:
                 for unit in units:
                     y = unit.forward(y)
             split_ok &= np.array_equal(net.head(y).data, emb.data)
@@ -222,7 +223,7 @@ def test_criterion_08_composition_invariant():
     n = teacher.num_stages
     lambdas = build_lambda_schedule(1.0, n)
     _, parts = composite_loss(x, labels, teacher, student, transforms, head, "angular", lambdas)
-    feats_t, _ = teacher.folded().forward(x)
+    feats_t, _ = teacher.forward(x)
     feats_s, _ = student.forward(x)
     stage_ok = True
     for i in range(1, n):

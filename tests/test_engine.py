@@ -13,7 +13,7 @@ import pytest
 
 from spherekd import autodiff as ad
 from spherekd import engine
-from spherekd.autodiff import Tensor, no_grad, topo_order
+from spherekd.autodiff import Tensor, topo_order
 from spherekd.checkpoint import Checkpoint, fingerprint_arch, load_checkpoint, save_checkpoint
 from spherekd.config import RunConfig, apply_overrides
 from spherekd.engine import (
@@ -28,14 +28,14 @@ from spherekd.engine import (
     train_student,
     train_teacher,
 )
-from spherekd.errors import ConfigError, NumericError
+from spherekd.errors import ConfigError, ContractError, NumericError
 from spherekd.evaluate import extract_embeddings, rank1_identification, verification_accuracy
 from spherekd.nets import (
     ArchConfig,
     ClassifierHead,
     ConvUnit,
-    FoldedNetwork,
     StagedNetwork,
+    freeze,
     parameters,
     state_arrays,
 )
@@ -248,15 +248,16 @@ class TestEvaluateNetwork:
         dataset = dataset_from_config(toy_config)
         vprot, iprot = protocols_from_config(toy_config, dataset)
         net = StagedNetwork(toy_config.arch, toy_config.arch.teacher_channels, substream(0, "t"))
+        freeze(net)
         full = extract_embeddings(net, dataset.images)
         forwarded = []
-        original = FoldedNetwork.forward
+        original = StagedNetwork.forward
 
-        def counting(folded, batch):
+        def counting(frozen, batch):
             forwarded.append(batch.data.copy())
-            return original(folded, batch)
+            return original(frozen, batch)
 
-        monkeypatch.setattr(FoldedNetwork, "forward", counting)
+        monkeypatch.setattr(StagedNetwork, "forward", counting)
         metrics = evaluate_network(net, dataset, vprot, iprot)
         scored = np.unique(
             np.concatenate([vprot.index_a, vprot.index_b, iprot.gallery_indices, iprot.probe_indices])
@@ -494,20 +495,22 @@ class TestEvalPassesBuildNoGraph:
         head = ClassifierHead(3, self.ARCH.embedding_dim, "normalized", 16.0, substream(0, "h"))
         images = np.random.default_rng(0).normal(size=(10, 8, 8, 1))
         labels = np.arange(10) % 3
-        params = list(parameters(net).values()) + [head.weight]
-        assert all(p.requires_grad for p in params)
 
+        # the training network's forward records a graph
+        net.forward(Tensor(images[:4]))
+        assert any(t.requires_grad for t in made)
+
+        made.clear()
+        freeze(net)
         extract_embeddings(net, images, batch_size=4)
         _train_eval_stats(net, head, images, labels, batch_size=4)
         _precompute_teacher(net, images, "l2", batch_size=4)
+        # outside no_grad a frozen network records nothing either
+        feats, _ = net.forward(Tensor(images[:4]))
+        net.tail(1, feats[0])
         assert made
         assert not any(t.requires_grad or t._parents or t._backward for t in made)
-        assert all(p.requires_grad for p in params)
-
-        # the same forward outside those passes does record a graph
-        made.clear()
-        net.folded().forward(Tensor(images[:4]))
-        assert any(t.requires_grad for t in made)
+        assert head.weight.requires_grad
 
 
 def default_teacher(seed):
@@ -524,27 +527,34 @@ class TestFrozenTeacher:
         assert not any(isinstance(unit, ConvUnit) for stage in loaded.stages for unit in stage)
         assert not loaded.head_weight.requires_grad
 
+        freeze(net)  # the values the checkpoint holds, frozen without a save and load
         x = Tensor(np.random.default_rng(21).normal(size=(8, 16, 16, 1)))
-        with no_grad():
-            ref_feats, ref_emb = net.folded().forward(x)  # before any freeze
-            for forward in (loaded.forward, loaded.folded().forward):
-                feats, emb = forward(x)
-                assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats))
-                assert np.array_equal(emb.data, ref_emb.data)
-            for stage in range(1, net.num_stages + 1):
-                f = ref_feats[stage - 1]
-                assert np.array_equal(loaded.tail(stage, f).data, net.tail(stage, f).data)
+        ref_feats, ref_emb = net.forward(x)
+        feats, emb = loaded.forward(x)
+        assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats))
+        assert np.array_equal(emb.data, ref_emb.data)
+        for stage in range(1, net.num_stages + 1):
+            f = ref_feats[stage - 1]
+            assert np.array_equal(loaded.tail(stage, f).data, net.tail(stage, f).data)
+
+    def test_a_loaded_network_lists_no_state(self, tmp_path):
+        net = default_teacher(23)
+        ckpt = Checkpoint(fingerprint_arch(net.arch), state_arrays(net), {"role": "teacher"})
+        loaded = load_network(RunConfig(), save_checkpoint(tmp_path / "t.ckpt", ckpt))
+        for call in (loaded.state, loaded.param_count, lambda: parameters(loaded),
+                     lambda: state_arrays(loaded)):
+            with pytest.raises(ContractError, match="frozen network has no parameters"):
+                call()
 
     def test_precompute_equals_a_64_row_pass_in_batches_of_16_rows_or_more(self, monkeypatch):
         net = default_teacher(22)
+        freeze(net)
         images = np.random.default_rng(22).normal(size=(140, 16, 16, 1))
         ref_feats, ref_embs = [], []
-        with no_grad():
-            folded = net.folded()
-            for start, stop in ((0, 64), (64, 140)):
-                feats, emb = folded.forward(Tensor(images[start:stop]))
-                ref_feats.append([f.data for f in feats[:-1]])
-                ref_embs.append(emb.data)
+        for start, stop in ((0, 64), (64, 140)):
+            feats, emb = net.forward(Tensor(images[start:stop]))
+            ref_feats.append([f.data for f in feats[:-1]])
+            ref_embs.append(emb.data)
 
         rows = []
         for name in ("conv_unit", "matmul"):

@@ -27,7 +27,7 @@ from spherekd.evaluate import (
     rank1_identification,
     verification_accuracy,
 )
-from spherekd.nets import ArchConfig, StagedNetwork
+from spherekd.nets import ArchConfig, StagedNetwork, freeze
 from spherekd.rng import substream
 
 from .conftest import threads_from_8_rows
@@ -250,7 +250,9 @@ class TestExtractEmbeddings:
     )
 
     def _net(self):
-        return StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
+        net = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
+        freeze(net)
+        return net
 
     def test_unit_norms(self):
         net = self._net()
@@ -303,7 +305,9 @@ class TestPoolPath:
     ROWS = np.random.default_rng(0).permutation(45)[:40]  # unsorted; 20 rows per thread
 
     def _net(self, width="teacher_channels"):
-        return StagedNetwork(self.ARCH, getattr(self.ARCH, width), substream(0, width))
+        net = StagedNetwork(self.ARCH, getattr(self.ARCH, width), substream(0, width))
+        freeze(net)
+        return net
 
     @pytest.mark.parametrize("width", ["teacher_channels", "student_channels"])
     def test_table_bitwise_equal_to_sequential(self, monkeypatch, width):
@@ -327,6 +331,7 @@ class TestPoolPath:
         # a time, so each part ends in one row, which numpy multiplies by gemv
         arch = ArchConfig()
         net = StagedNetwork(arch, arch.teacher_channels, substream(0, "teacher-init"))
+        freeze(net)
         side = arch.input_size
         images = np.random.default_rng(2).normal(size=(66, side, side, arch.in_channels))
         sequential = extract_embeddings(net, images)
@@ -352,10 +357,11 @@ class TestPoolPath:
                 NumericError, extract_embeddings, net_nan, ds.images, self.ROWS, batch_size=4
             )
         )
+        training = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
         for call in calls:
             call()
             assert parallel.blas_threads() == prior
-            assert net.folded().forward(Tensor(ds.images[:2]))[1].requires_grad
+            assert training.forward(Tensor(ds.images[:2]))[1].requires_grad
         assert started == [2, 2, 2]
 
     def test_no_thread_at_one_blas_thread(self, monkeypatch):
@@ -376,7 +382,7 @@ class TestPoolPath:
                 f"""\
                 import numpy as np
                 from spherekd import evaluate
-                from spherekd.nets import ArchConfig, StagedNetwork
+                from spherekd.nets import ArchConfig, StagedNetwork, freeze
                 from spherekd.rng import substream
 
                 with open({str(log)!r}, "a") as fh:
@@ -385,6 +391,7 @@ class TestPoolPath:
                 evaluate.cpu_count = evaluate.blas_threads = lambda: 2
                 arch = ArchConfig(**{asdict(self.ARCH)!r})
                 net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
+                freeze(net)
                 evaluate.extract_embeddings(net, np.zeros((32, 8, 8, 1)))
                 """
             )

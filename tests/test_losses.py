@@ -154,7 +154,7 @@ class TestIntermediateAngularLoss:
     def test_stage_n_reduces_to_angular_on_head_outputs(self):
         teacher, student, _, x, _, parts = self._loss(seed=3)
         n = teacher.num_stages
-        feats_t, _ = teacher.folded().forward(x)
+        feats_t, _ = teacher.forward(x)
         feats_s, _ = student.forward(x)
         direct = angular_distill_loss(teacher.tail(n, feats_t[-1]), student.head(feats_s[-1]))
         assert abs(parts[f"stage_{n}"] - direct.item()) <= 1e-12
@@ -163,7 +163,7 @@ class TestIntermediateAngularLoss:
         # independent route: plain numpy over the tail outputs
         teacher, student, transforms, x, _, parts = self._loss(seed=4)
         stage = 1
-        feats_t, _ = teacher.folded().forward(x)
+        feats_t, _ = teacher.forward(x)
         feats_s, _ = student.forward(x)
         e_t = teacher.tail(stage, feats_t[0]).data
         e_s = teacher.tail(stage, transforms[0].forward(feats_s[0])).data
@@ -262,7 +262,7 @@ class TestCompositeLoss:
         teacher, student, transforms, head, x, labels = self._setup(seed=11)
         sched = build_lambda_schedule(1.0, 2)
         total, parts = composite_loss(x, labels, teacher, student, transforms, head, "angular", sched)
-        feats_t, emb_t = teacher.folded().forward(x)
+        feats_t, emb_t = teacher.forward(x)
         feats_s, emb_s = student.forward(x)
         direct_1 = angular_distill_loss(
             teacher.tail(1, feats_t[0]), teacher.tail(1, transforms[0].forward(feats_s[0]))

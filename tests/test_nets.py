@@ -5,7 +5,8 @@ import pytest
 
 from spherekd import autodiff as ad
 from spherekd.autodiff import Tensor
-from spherekd.errors import ConfigError, DimensionError
+from spherekd.errors import ConfigError, ContractError, DimensionError
+from spherekd.evaluate import extract_embeddings
 from spherekd.gradcheck import check_gradients
 from spherekd.nets import (
     BN_EPS,
@@ -13,6 +14,7 @@ from spherekd.nets import (
     ArchConfig,
     BatchNorm,
     ClassifierHead,
+    FoldedUnit,
     StagedNetwork,
     StudentTransform,
     build_reference_pair,
@@ -39,6 +41,12 @@ def tiny_teacher(seed=0):
     return StagedNetwork(TINY, TINY.teacher_channels, substream(seed, "teacher-init"))
 
 
+def frozen_tiny_teacher(seed=0):
+    net = tiny_teacher(seed)
+    freeze(net)
+    return net
+
+
 class TestForwardAllStages:
     def test_single_stage_composition(self):
         arch = ArchConfig(
@@ -46,45 +54,46 @@ class TestForwardAllStages:
             student_channels=(2,), block_depth=1, embedding_dim=2,
         )
         net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
+        freeze(net)
         x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 4, 1)))
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         assert len(feats) == 1
         direct = x
-        for unit in net.folded().stages[0]:
+        for unit in net.stages[0]:
             direct = unit.forward(direct)
         assert np.array_equal(feats[0].data, direct.data)
 
     def test_head_of_last_feature_equals_embedding(self):
-        net = tiny_teacher()
+        net = frozen_tiny_teacher()
         x = Tensor(np.random.default_rng(1).normal(size=(3, 8, 8, 1)))
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         assert np.array_equal(net.head(feats[-1]).data, emb.data)
 
     def test_default_stage_spatial_dims(self):
         arch = ArchConfig()
         net = StagedNetwork(arch, arch.teacher_channels, substream(0, "t"))
+        freeze(net)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 16, 16, 1)))
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         sides = [f.shape[1] for f in feats]
         assert sides == [8, 4, 2, 1]
         assert [f.shape[3] for f in feats] == [32, 64, 128, 256]
         assert emb.shape == (2, 32)
 
     def test_bad_input_names_stage(self):
-        net = tiny_teacher()
-        for forward in (net.forward, net.folded().forward):
+        for net in (tiny_teacher(), frozen_tiny_teacher()):
             with pytest.raises(DimensionError, match="stage 1"):
-                forward(Tensor(np.zeros((2, 8, 8, 3))))
+                net.forward(Tensor(np.zeros((2, 8, 8, 3))))
 
     def test_stage_split_composability_bitwise(self):
-        net = tiny_teacher()
+        net = frozen_tiny_teacher()
         rng = np.random.default_rng(3)
         for trial in range(10):
             x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-            feats, emb = net.folded().forward(x)
+            feats, emb = net.forward(x)
             for split in range(1, net.num_stages + 1):
                 y = feats[split - 1]
-                for units in net.folded().stages[split:]:
+                for units in net.stages[split:]:
                     for unit in units:
                         y = unit.forward(y)
                 assert np.array_equal(y.data, feats[-1].data)
@@ -93,44 +102,52 @@ class TestForwardAllStages:
 
 class TestTeacherTail:
     def test_tail_at_last_stage_is_head(self):
-        net = tiny_teacher()
+        net = frozen_tiny_teacher()
         x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 8, 1)))
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         out = net.tail(net.num_stages, feats[-1])
         assert np.array_equal(out.data, emb.data)
 
     def test_tail_composition_identity_every_stage(self):
-        net = tiny_teacher()
+        net = frozen_tiny_teacher()
         x = Tensor(np.random.default_rng(5).normal(size=(3, 8, 8, 1)))
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         for stage in range(1, net.num_stages + 1):
             out = net.tail(stage, feats[stage - 1])
             assert np.array_equal(out.data, emb.data)
 
     def test_shape_mismatch_names_stage(self):
-        net = tiny_teacher()
+        net = frozen_tiny_teacher()
         with pytest.raises(DimensionError, match="stage 1"):
             net.tail(1, Tensor(np.zeros((2, 4, 4, 5))))
         with pytest.raises(DimensionError):
             net.tail(3, Tensor(np.zeros((2, 2, 2, 6))))
 
     def test_gradient_flows_to_feature(self):
-        net = tiny_teacher()
-        freeze(net)
+        net = frozen_tiny_teacher()
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 8, 8, 1)))
-        feats, _ = net.folded().forward(x)
+        feats, _ = net.forward(x)
         f = Tensor(feats[0].data.copy(), requires_grad=True)
         err = check_gradients(lambda: (net.tail(1, f) ** 2).mean(), [f])
         assert err < 1e-4
 
     def test_frozen_params_get_no_grads(self):
-        net = tiny_teacher()
-        freeze(net)
+        net = frozen_tiny_teacher()
         f = Tensor(np.random.default_rng(8).normal(size=(2, 4, 4, 4)), requires_grad=True)
         (net.tail(1, f) ** 2).mean().backward()
         assert f.grad is not None
         assert takes_no_gradient(net)
+
+    def test_a_training_network_is_refused_and_keeps_its_running_estimates(self):
+        # its units would run train-mode batch norm and update the estimates
+        net = tiny_teacher()
+        before = {k: v.copy() for k, v in state_arrays(net).items()}
+        with pytest.raises(ContractError, match="not frozen"):
+            net.tail(1, Tensor(np.random.default_rng(17).normal(size=(2, 4, 4, 4))))
+        with pytest.raises(ContractError, match="not frozen"):
+            extract_embeddings(net, np.random.default_rng(18).normal(size=(4, 8, 8, 1)))
+        assert all(np.array_equal(v, before[k]) for k, v in state_arrays(net).items())
 
 
 def randomized(net, seed):
@@ -174,22 +191,26 @@ class TestFoldedUnits:
         reference = unfolded_features(net, x)  # the unfolded units are gone once frozen
         ref_emb = net.head(reference[-1]).data
         freeze(net)
-        feats, emb = net.folded().forward(x)
+        feats, emb = net.forward(x)
         assert all(close(f.data, r.data) for f, r in zip(feats, reference))
         assert close(emb.data, ref_emb)
         for stage in range(1, net.num_stages + 1):
             assert close(net.tail(stage, reference[stage - 1]).data, ref_emb)
 
-    def test_a_frozen_network_folds_once(self):
-        net = tiny_teacher()
-        # folded from the values as they stand
-        assert net.folded().stages[0][0] is not net.folded().stages[0][0]
-        freeze(net)
+    def test_a_frozen_network_folds_once(self, monkeypatch):
+        folds = []
+        original = FoldedUnit.__init__
+        monkeypatch.setattr(FoldedUnit, "__init__", lambda *args: folds.append(1) or original(*args))
+        net = frozen_tiny_teacher()
         units = [unit for stage in net.stages for unit in stage]
+        assert len(folds) == len(units)
+        x = Tensor(np.random.default_rng(19).normal(size=(2, 8, 8, 1)))
         for _ in range(2):
-            folded = [unit for stage in net.folded().stages for unit in stage]
-            assert len(folded) == len(units)
-            assert all(a is b for a, b in zip(folded, units))
+            feats, _ = net.forward(x)
+            net.tail(1, feats[0])
+            freeze(net)
+        assert len(folds) == len(units)
+        assert all(a is b for a, b in zip((u for stage in net.stages for u in stage), units))
 
     def test_a_frozen_network_has_no_train_mode_forward(self):
         net = tiny_teacher()
@@ -198,8 +219,8 @@ class TestFoldedUnits:
         freeze(net)
         values = [(u.wmat.copy(), u.shift.copy(), u.slope.copy()) for s in net.stages for u in s]
         head = net.head_weight.data.copy()
+        ref_feats, ref_emb = net.forward(x)
         feats, emb = net.forward(x)
-        ref_feats, ref_emb = net.folded().forward(x)
         assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats))
         assert np.array_equal(emb.data, ref_emb.data)
         after = [(u.wmat, u.shift, u.slope) for s in net.stages for u in s]
@@ -231,9 +252,11 @@ class TestBatchNorm:
             np.testing.assert_allclose(bn.running_var, var, atol=1e-12)
         net = tiny_teacher()
         net.forward(Tensor(np.random.default_rng(10).normal(size=(2, 8, 8, 1))))
-        before = {k: v.copy() for k, v in state_arrays(net).items()}
-        net.folded().forward(Tensor(np.random.default_rng(11).normal(size=(2, 8, 8, 1))))
-        assert all(np.array_equal(v, before[k]) for k, v in state_arrays(net).items())
+        arrays = state_arrays(net)
+        before = {k: v.copy() for k, v in arrays.items()}
+        freeze(net)
+        net.forward(Tensor(np.random.default_rng(11).normal(size=(2, 8, 8, 1))))
+        assert all(np.array_equal(v, before[k]) for k, v in arrays.items())
 
 
 class TestNamedState:
@@ -389,7 +412,7 @@ class TestReferencePair:
         arch = ArchConfig()
         teacher, student, transforms = build_reference_pair(arch, seed=1)
         x = Tensor(np.random.default_rng(13).normal(size=(2, 16, 16, 1)))
-        feats_s, _ = student.folded().forward(x)
+        feats_s, _ = student.forward(x)
         for i, (tr, f) in enumerate(zip(transforms, feats_s)):
             out = tr.forward(f)
             assert out.shape[-1] == arch.teacher_channels[i]
