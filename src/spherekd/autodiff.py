@@ -10,11 +10,9 @@ Design notes:
     topological order; accumulation order is fixed by construction order, so
     gradients are bitwise reproducible. The walk frees each node's closure,
     parents and gradient once it has run, so a graph serves one backward.
-  * An op records a graph node only when an input requires a gradient,
-    and never inside `no_grad()`. A frozen network holds only constants,
-    so its pass over a constant input records nothing and keeps no
-    closures or saved activations alive; `no_grad()` serves a pass that
-    also reads a trainable value, such as a classifier head.
+  * An op records a graph node exactly when an input requires a gradient.
+    A frozen network holds only constants, so its pass over a constant
+    input records nothing and keeps no closures or saved activations alive.
   * A training unit of the networks is three ops, each one graph node: the
     3x3 conv is one im2col matrix product per pass over the taps that read
     real pixels, and batch norm, which normalizes with batch statistics, has
@@ -33,32 +31,11 @@ layers and losses are compositions of them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 EPS_NORM = 1e-12
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Build no graph inside the block: every op output is a constant leaf.
-
-    Values are exactly those of a recording pass; only the parents and
-    backward closures are dropped, so eval passes hold no saved arrays. The
-    flag is process-wide: it also holds in other threads while the block runs.
-    """
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = saved
 
 
 class Tensor:
@@ -101,7 +78,7 @@ class Tensor:
 
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, no_grad, softmax_cross_entropy
+from .autodiff import Tensor, check_finite, softmax_cross_entropy
 from .checkpoint import (
     Checkpoint,
     atomic_open,
@@ -31,11 +31,10 @@ from .data import (
     SyntheticIdentityDataset,
     build_identification_protocol,
     build_verification_protocol,
-    chunk_bounds,
     generate_dataset,
 )
 from .errors import ConfigError, NumericError
-from .evaluate import extract_embeddings, rank1_identification, verification_accuracy
+from .evaluate import extract_embeddings, frozen_pass, rank1_identification, verification_accuracy
 from .losses import DISTILL_KINDS, build_lambda_schedule, composite_loss
 from .nets import (
     ClassifierHead,
@@ -105,36 +104,27 @@ def _schedule_for(cfg: RunConfig, total_steps: int) -> LrSchedule:
     return LrSchedule(cfg.train.learning_rate, decay_steps, cfg.train.decay_factor)
 
 
-def _train_eval_stats(net, head, images, labels, batch_size=32) -> tuple[float, float]:
+def _train_eval_stats(net, head, images, labels) -> tuple[float, float]:
     """Eval-mode classification loss and accuracy of the frozen `net` over the given samples.
 
-    The batches are laid out as in `_precompute_teacher`. The head is still
-    trainable, so the pass runs under `no_grad`.
+    The embeddings come from `frozen_pass`; the head, its weight already a
+    constant, then scores all rows at once.
     """
-    losses, hits = [], 0
-    bounds = chunk_bounds(len(labels), batch_size, batch_size // 2)
-    with no_grad():
-        for start, stop in zip(bounds, bounds[1:]):
-            y = labels[start:stop]
-            logits = head.logits(net.forward(Tensor(images[start:stop]))[1])
-            losses.append(softmax_cross_entropy(logits, y).data)
-            hits += int(np.sum(np.argmax(logits.data, axis=1) == y))
-    all_losses = np.concatenate(losses)
-    return float(all_losses.mean()), hits / len(labels)
+    embeddings = np.empty((len(labels), net.arch.embedding_dim))
+    frozen_pass(net, images, np.arange(len(labels)), embeddings)
+    logits = head.logits(Tensor(embeddings))
+    hits = int(np.count_nonzero(np.argmax(logits.data, axis=1) == labels))
+    return float(softmax_cross_entropy(logits, labels).data.mean()), hits / len(labels)
 
 
-def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, batch_size=32):
+def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str):
     """Eval-mode outputs of the frozen teacher for the whole training set.
 
     The teacher is frozen, so its features per sample never change during the
     student's training; caching them once avoids a forward pass per step.
-    Each batch is written into arrays allocated once for the whole set. The
-    batches are laid out as `evaluate._embed` lays out its own: batch_size
-    rows, a last batch of fewer than batch_size // 2 joining the one before,
-    so no row's outputs depend on the split. Batches of 32 rows keep the
-    largest column matrix (stage 1's second unit) at 4.7 MB beside the cache.
+    `frozen_pass` writes them into arrays allocated once for the whole set.
     """
-    if kind == "none" or teacher is None:
+    if kind == "none":
         return None, None
     n, arch = images.shape[0], teacher.arch
     emb_all = np.empty((n, arch.embedding_dim))
@@ -142,13 +132,7 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str, b
     if kind == "l2":  # composite_loss reads stages 1..n-1 only
         sides = arch.stage_sizes()[:-1]
         feats_all = [np.empty((n, s, s, c)) for s, c in zip(sides, teacher.channels)]
-    bounds = chunk_bounds(n, batch_size, batch_size // 2)
-    for start, stop in zip(bounds, bounds[1:]):
-        feats, emb = teacher.forward(Tensor(images[start:stop]))
-        emb_all[start:stop] = emb.data
-        if feats_all is not None:
-            for dst, f in zip(feats_all, feats):
-                dst[start:stop] = f.data
+    frozen_pass(teacher, images, np.arange(n), emb_all, feats_all or ())
     return feats_all, emb_all
 
 
@@ -220,8 +204,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     teacher and the transforms of stages 1..n-1 (the final stage compares
     embeddings directly). The checkpoint holds the network and the
     classifier, not the transforms, and goes to `cfg.output_dir`; its
-    arrays are taken before the network is frozen for the final train-set
-    statistics.
+    arrays are taken before the network is frozen and the classifier weight
+    made a constant for the final train-set statistics, so that pass records
+    no graph.
     `dataset`, if given, must be the config's own; None generates it.
     """
     cfg.validate()
@@ -266,6 +251,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
         _fit(cfg, role, kind, teacher, modules, lambdas, images, labels, epochs, logger)
         tensors = state_arrays(net, head)
         freeze(net)
+        head.weight = Tensor(head.weight.data)
         train_loss, train_accuracy = _train_eval_stats(net, head, images, labels)
         logger.write(
             {

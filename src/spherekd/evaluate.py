@@ -4,7 +4,9 @@ Both metrics operate on unit-normalized embeddings, so cosine similarity is a
 plain dot product. Verification picks its threshold by k-fold cross-validation
 over candidate midpoints; identification counts a probe as correct only when
 its single nearest gallery entry is of the probe's own class (ties fail).
-Embedding a large set of rows is spread over threads of the calling process.
+`frozen_pass` is the one batched pass over a frozen network, for training's
+teacher cache and statistics as for evaluation. Embedding a large set of
+rows is spread over threads of the calling process.
 """
 
 from __future__ import annotations
@@ -23,49 +25,62 @@ from .parallel import blas_threads, cpu_count, hold_blas_threads
 # PROBE_BLOCK x gallery float64s (5.1 MB at 20,016 gallery entries)
 PROBE_BLOCK = 32
 
-# embedding runs on threads from this many rows per thread on. A thread
-# starts at no cost, but each embeds batches of batch_size // threads rows,
-# which cost more per row. On 2 vCPUs, folded random-init default networks,
-# medians of runs alternating one thread with two: the teacher took 0.17 s for
-# 820 rows on either (0.16 s against 0.17 s in a second run), 0.58 s against
-# 0.74 s for 4,096 rows and 2.6 s against 3.7 s for 20,320; the student took
-# 0.033 s on two threads against 0.028 s on one for 820 rows
+# rows per forward in `frozen_pass`; 32-row batches keep the largest column
+# matrix (stage 1's second unit of the default teacher) at 4.7 MB
+BATCH_ROWS = 32
+
+# embedding runs on threads from this many rows per thread on. Each thread
+# embeds its part in batches of BATCH_ROWS rows, as one thread does, and the
+# batch size costs nothing: on one thread, 820 rows of random-state folded
+# default networks gave the same bytes in 32-row as in 64-row batches, the
+# teacher in 133 against 137 ms, the student in 29.4 against 28.2 ms (2 vCPUs,
+# medians of 12 alternating runs). Two threads against one, same networks:
+# the teacher took 0.17 s for 820 rows on either, 0.58 s against 0.74 s for
+# 4,096 rows and 2.6 s against 3.7 s for 20,320; the student took 0.033 s on
+# two threads against 0.028 s on one for 820 rows
 ROWS_PER_WORKER = 2048
 
 
-def _embed(
-    net: StagedNetwork, images: np.ndarray, order: np.ndarray, batch_size: int, out: np.ndarray
+def frozen_pass(
+    net: StagedNetwork, images: np.ndarray, order: np.ndarray, embeddings: np.ndarray, features=()
 ) -> None:
-    """Write the raw embeddings of `images[order]` to `out`, batch_size rows at a time.
+    """Run the frozen `net` over `images[order]` into arrays the caller allocated.
 
-    A last batch of fewer than batch_size // 2 rows joins the one before
-    (see `chunk_bounds`), so that the last rows are not embedded in a small
-    block, and a row's embedding does not depend on how the rows were split
-    into parts.
+    Row k of `embeddings` gets the raw embedding of image `order[k]`, and row
+    k of each array in `features` the feature of stage 1, 2, ... in turn.
+    The rows run BATCH_ROWS at a time, a last batch of fewer than
+    BATCH_ROWS // 2 joining the one before (see `chunk_bounds`), so no row
+    runs in a small block and a row's outputs do not depend on how the rows
+    were split into parts. A network that is not frozen (see `nets.freeze`)
+    raises ContractError: its forward would run in train mode and update its
+    running estimates.
     """
-    bounds = chunk_bounds(len(order), batch_size, batch_size // 2)
+    if not net.frozen:
+        raise ContractError("frozen_pass: the network is not frozen (see nets.freeze)")
+    bounds = chunk_bounds(len(order), BATCH_ROWS, BATCH_ROWS // 2)
     for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = net.forward(Tensor(images[order[start:stop]]))[1].data
+        feats, emb = net.forward(Tensor(images[order[start:stop]]))
+        embeddings[start:stop] = emb.data
+        for dst, f in zip(features, feats):
+            dst[start:stop] = f.data
+        del feats, emb  # so the next batch's forward runs without this one's activations
 
 
 def extract_embeddings(
-    net: StagedNetwork, images: np.ndarray, rows: np.ndarray | None = None, batch_size: int = 64
+    net: StagedNetwork, images: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:
     """Unit-normalized eval-mode embeddings of the frozen `net`, one row per image.
 
-    A network that is not frozen (see `nets.freeze`) raises ContractError:
-    its forward would run in train mode. A frozen network holds only
-    constants, so embedding records no graph, on any thread. With `rows`,
-    only those images are embedded, in the given order; the other rows of
-    the table stay zero. From ROWS_PER_WORKER rows per thread on, the rows
-    are split into contiguous parts, one per thread, with at most one
-    thread per CPU and per BLAS thread; each thread embeds its part in
-    batches of batch_size // threads rows, so batch_size rows are in
-    flight, and OpenBLAS is held at one thread meanwhile. Raises
-    NumericError when an embedded row is not finite.
+    A network that is not frozen raises ContractError (see `frozen_pass`).
+    A frozen network holds only constants, so embedding records no graph,
+    on any thread. With `rows`, only those images are embedded, in the
+    given order; the other rows of the table stay zero. From
+    ROWS_PER_WORKER rows per thread on, the rows are split into contiguous
+    parts, one per thread, with at most one thread per CPU and per BLAS
+    thread; each thread runs `frozen_pass` over its part, and OpenBLAS is
+    held at one thread meanwhile. Raises NumericError when an embedded row
+    is not finite.
     """
-    if not net.frozen:
-        raise ContractError("extract_embeddings: the network is not frozen (see nets.freeze)")
     if images.ndim != 4:
         raise DimensionError(f"expected images [N,h,w,c], got {images.shape}")
     n = images.shape[0]
@@ -74,12 +89,11 @@ def extract_embeddings(
     threads = min(cpu_count(), blas_threads(), len(order) // ROWS_PER_WORKER)
     if threads > 1:
         parts = zip(np.array_split(order, threads), np.array_split(picked, threads))
-        step = max(1, batch_size // threads)
         with hold_blas_threads(1), ThreadPoolExecutor(threads) as pool:
-            for done in [pool.submit(_embed, net, images, o, step, out) for o, out in parts]:
+            for done in [pool.submit(frozen_pass, net, images, o, out) for o, out in parts]:
                 done.result()
     else:
-        _embed(net, images, order, batch_size, picked)
+        frozen_pass(net, images, order, picked)
     bad = ~np.isfinite(picked).all(axis=1)
     if bad.any():
         raise NumericError(

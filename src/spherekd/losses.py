@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
 from .nets import ClassifierHead, StagedNetwork, StudentTransform
 
 DISTILL_KINDS = ("none", "l2", "angular")
@@ -79,19 +79,28 @@ def composite_loss(
     """Classification loss plus `lambdas`-weighted per-stage distillation terms.
 
     The student and its transforms run in train mode, the frozen teacher in
-    eval mode. kind "none" ignores the teacher entirely. kind "l2" compares
-    transformed stage features by squared distance; kind "angular" routes
-    intermediate features through the teacher tail and compares directions.
-    Stage n always compares the d-dim embeddings. `teacher_out` may carry
-    precomputed eval-mode teacher features of stages 1..n-1 (the ones read)
-    and the embedding for the batch; for the tail comparison the teacher's
-    own stage-i tail embedding is its final embedding, so the cached value is
-    reused unchanged.
+    eval mode; a teacher that is not frozen raises ContractError. kind "none"
+    ignores the teacher entirely. kind "l2" compares transformed stage
+    features by squared distance; kind "angular" routes intermediate features
+    through the teacher tail and compares directions. Stage n always compares
+    the d-dim embeddings. `teacher_out` may carry precomputed eval-mode
+    teacher features of stages 1..n-1 (the ones read) and the embedding for
+    the batch; for the tail comparison the teacher's own stage-i tail
+    embedding is its final embedding, so the cached value is reused
+    unchanged.
 
     Returns the total loss tensor and the unweighted value of every term.
     """
     if kind not in DISTILL_KINDS:
         raise ConfigError(f"distill kind must be one of {DISTILL_KINDS}, got {kind!r}")
+    n = student.num_stages
+    if kind != "none":  # checked before any train-mode forward moves a running estimate
+        if teacher is None:
+            raise ConfigError(f"distill kind {kind!r} requires a teacher")
+        if not teacher.frozen:
+            raise ContractError("composite_loss: the teacher is not frozen (see nets.freeze)")
+        if len(lambdas) != n:
+            raise ConfigError(f"{len(lambdas)} distillation weights for {n} stages")
     batch = Tensor._lift(batch)
     feats_s, emb_s = student.forward(batch)
     cls = ad.softmax_cross_entropy(head.logits(emb_s), labels).mean()
@@ -99,11 +108,6 @@ def composite_loss(
     if kind == "none":
         return cls, parts
 
-    if teacher is None:
-        raise ConfigError(f"distill kind {kind!r} requires a teacher")
-    n = student.num_stages
-    if len(lambdas) != n:
-        raise ConfigError(f"{len(lambdas)} distillation weights for {n} stages")
     if teacher_out is None:
         feats_t, emb_t = teacher.forward(batch)
     else:

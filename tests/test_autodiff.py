@@ -398,30 +398,6 @@ class TestConv3x3MatchesNineTaps:
         assert x.grad is not None and w.grad is None
 
 
-class TestNoGrad:
-    def test_records_no_graph_and_keeps_values(self):
-        rng = np.random.default_rng(31)
-        x = Tensor(rng.normal(size=(2, 4, 4, 2)))
-        w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
-        recorded = ad.conv2d_3x3(x, w)
-        with ad.no_grad():
-            plain = ad.conv2d_3x3(x, w)
-        assert recorded.requires_grad and recorded._parents
-        assert not plain.requires_grad and plain._parents == () and plain._backward is None
-        assert np.array_equal(plain.data, recorded.data)
-        assert w.requires_grad
-
-    def test_restored_after_exception_and_nesting(self):
-        w = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(DimensionError):
-            with ad.no_grad():
-                with ad.no_grad():
-                    assert not (w * 2.0).requires_grad
-                assert not (w * 2.0).requires_grad
-                ad.matmul(w, w)
-        assert (w * 2.0).requires_grad
-
-
 class TestPrelu:
     def test_positive_passthrough_negative_scaled(self):
         x = Tensor(np.array([[2.0, -2.0], [0.5, -0.5]]))

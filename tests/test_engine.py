@@ -41,7 +41,7 @@ from spherekd.nets import (
 )
 from spherekd.rng import substream
 
-from .conftest import make_toy_config
+from .conftest import make_toy_config, threads_from_8_rows
 from .test_nets import randomized
 
 
@@ -492,7 +492,7 @@ class TestEvalPassesBuildNoGraph:
 
         monkeypatch.setattr(Tensor, "_make", recording)
         net = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
-        head = ClassifierHead(3, self.ARCH.embedding_dim, "normalized", 16.0, substream(0, "h"))
+        head = constant_head(self.ARCH)
         images = np.random.default_rng(0).normal(size=(10, 8, 8, 1))
         labels = np.arange(10) % 3
 
@@ -502,15 +502,67 @@ class TestEvalPassesBuildNoGraph:
 
         made.clear()
         freeze(net)
-        extract_embeddings(net, images, batch_size=4)
-        _train_eval_stats(net, head, images, labels, batch_size=4)
-        _precompute_teacher(net, images, "l2", batch_size=4)
-        # outside no_grad a frozen network records nothing either
+        extract_embeddings(net, images)
+        _train_eval_stats(net, head, images, labels)
+        _precompute_teacher(net, images, "l2")
         feats, _ = net.forward(Tensor(images[:4]))
         net.tail(1, feats[0])
         assert made
         assert not any(t.requires_grad or t._parents or t._backward for t in made)
-        assert head.weight.requires_grad
+
+
+def constant_head(arch):
+    """A classifier head over 3 classes whose weight is a constant, as after training."""
+    head = ClassifierHead(3, arch.embedding_dim, "normalized", 16.0, substream(0, "h"))
+    head.weight = Tensor(head.weight.data)
+    return head
+
+
+class TestOneFrozenPass:
+    """Every batched pass over a frozen network is `evaluate.frozen_pass`."""
+
+    ARCH = TestEvalPassesBuildNoGraph.ARCH
+    ROWS = 100
+    # forwards per caller: 32, 32 and 36 rows on one thread, 32 and 18 per thread on two
+    CALLERS = {
+        "extract_embeddings": 3,
+        "extract_embeddings_on_two_threads": 4,
+        "_train_eval_stats": 3,
+        "_precompute_teacher": 3,
+    }
+
+    def _call(self, caller, net, monkeypatch):
+        images = np.random.default_rng(1).normal(size=(self.ROWS, 8, 8, 1))
+        if caller == "extract_embeddings_on_two_threads":
+            threads_from_8_rows(monkeypatch)
+            extract_embeddings(net, images)
+        elif caller == "extract_embeddings":
+            extract_embeddings(net, images)
+        elif caller == "_train_eval_stats":
+            _train_eval_stats(net, constant_head(self.ARCH), images, np.arange(self.ROWS) % 3)
+        else:
+            _precompute_teacher(net, images, "l2")
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_every_forward_sees_16_to_47_rows(self, monkeypatch, caller):
+        net = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
+        freeze(net)
+        rows = []
+        forward = StagedNetwork.forward
+        monkeypatch.setattr(
+            StagedNetwork, "forward", lambda self, x: rows.append(x.shape[0]) or forward(self, x)
+        )
+        self._call(caller, net, monkeypatch)
+        assert len(rows) == self.CALLERS[caller] and sum(rows) == self.ROWS
+        assert all(16 <= r <= 47 for r in rows), rows
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_unfrozen_network_raises_and_keeps_its_running_estimates(self, monkeypatch, caller):
+        net = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
+        before = {k: v.copy() for k, v in state_arrays(net).items()}
+        with pytest.raises(ContractError, match="not frozen"):
+            self._call(caller, net, monkeypatch)
+        assert all(np.array_equal(v, before[k]) for k, v in state_arrays(net).items())
 
 
 def default_teacher(seed):

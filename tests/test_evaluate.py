@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spherekd import evaluate, parallel
-from spherekd.autodiff import Tensor
 from spherekd.data import (
     IdentificationProtocol,
     build_identification_protocol,
@@ -270,14 +269,14 @@ class TestExtractEmbeddings:
 
     def test_selected_rows_bitwise_and_zero_elsewhere(self):
         net = self._net()
-        ds = tiny_dataset()
+        ds = tiny_dataset(num_distractors=70)  # 105 rows, in batches of 32, 32 and 41
         full = extract_embeddings(net, ds.images)
-        rows = np.array([11, 0, 5, 6, 7, 30])
         # bitwise equality across batch compositions assumes the BLAS gives
         # each GEMM row a result that does not depend on the other rows; seen
         # to hold on scipy-openblas 0.3.31
-        for batch_size in (2, 64):
-            part = extract_embeddings(net, ds.images, rows, batch_size=batch_size)
+        subsets = (np.array([11, 0, 5, 6, 7, 30]), np.random.default_rng(1).permutation(105)[:60])
+        for rows in subsets:
+            part = extract_embeddings(net, ds.images, rows)
             assert part.shape == full.shape
             assert np.array_equal(part[rows], full[rows])
             others = np.setdiff1d(np.arange(ds.num_samples), rows)
@@ -290,38 +289,36 @@ class TestExtractEmbeddings:
         with pytest.raises(NumericError, match="non-finite"):
             extract_embeddings(net, ds.images, np.array([0, 3]))
 
-    def test_batch_size_independence(self):
-        net = self._net()
-        ds = tiny_dataset()
-        t1 = extract_embeddings(net, ds.images, batch_size=1)
-        t32 = extract_embeddings(net, ds.images, batch_size=32)
-        np.testing.assert_allclose(t1, t32, atol=1e-9)
-
 
 class TestPoolPath:
     """Large extractions embedded on a pool of threads of the calling process."""
 
     ARCH = TestExtractEmbeddings.ARCH
-    ROWS = np.random.default_rng(0).permutation(45)[:40]  # unsorted; 20 rows per thread
+    # unsorted; 50 rows per thread, in batches of 32 and 18
+    ROWS = np.random.default_rng(0).permutation(105)[:100]
 
     def _net(self, width="teacher_channels"):
         net = StagedNetwork(self.ARCH, getattr(self.ARCH, width), substream(0, width))
         freeze(net)
         return net
 
+    @staticmethod
+    def _dataset():
+        return tiny_dataset(num_distractors=70)  # 105 rows
+
     @pytest.mark.parametrize("width", ["teacher_channels", "student_channels"])
     def test_table_bitwise_equal_to_sequential(self, monkeypatch, width):
         # assumes dgemm results do not depend on the BLAS thread count; seen
         # to hold on scipy-openblas 0.3.31
-        net, ds = self._net(width), tiny_dataset()
-        sequential = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        net, ds = self._net(width), self._dataset()
+        sequential = extract_embeddings(net, ds.images, self.ROWS)
         started = threads_from_8_rows(monkeypatch)
         blas_seen = []
-        embed = evaluate._embed
+        run = evaluate.frozen_pass
         monkeypatch.setattr(
-            evaluate, "_embed", lambda *args: blas_seen.append(parallel.blas_threads()) or embed(*args)
+            evaluate, "frozen_pass", lambda *a: blas_seen.append(parallel.blas_threads()) or run(*a)
         )
-        threaded = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        threaded = extract_embeddings(net, ds.images, self.ROWS)
         assert started == [2]
         assert blas_seen == [1, 1]
         assert threaded.tobytes() == sequential.tobytes()
@@ -341,10 +338,10 @@ class TestPoolPath:
         assert threaded.tobytes() == sequential.tobytes()
 
     @parallel.hold_blas_threads(2)  # so that a count left at one shows
-    def test_failures_raise_and_restore_blas_threads_and_grad(self, monkeypatch):
+    def test_failures_raise_and_restore_blas_threads(self, monkeypatch):
         prior = parallel.blas_threads()
         started = threads_from_8_rows(monkeypatch)
-        net, ds = self._net(), tiny_dataset()
+        net, ds = self._net(), self._dataset()
         two_channels = np.concatenate([ds.images, ds.images], axis=3)
         calls = [
             lambda: extract_embeddings(net, ds.images, self.ROWS),
@@ -353,23 +350,19 @@ class TestPoolPath:
         net_nan = self._net()
         net_nan.head_weight.data[0, 0] = np.nan
         calls.append(
-            lambda: pytest.raises(
-                NumericError, extract_embeddings, net_nan, ds.images, self.ROWS, batch_size=4
-            )
+            lambda: pytest.raises(NumericError, extract_embeddings, net_nan, ds.images, self.ROWS)
         )
-        training = StagedNetwork(self.ARCH, self.ARCH.teacher_channels, substream(0, "t"))
         for call in calls:
             call()
             assert parallel.blas_threads() == prior
-            assert training.forward(Tensor(ds.images[:2]))[1].requires_grad
         assert started == [2, 2, 2]
 
     def test_no_thread_at_one_blas_thread(self, monkeypatch):
-        net, ds = self._net(), tiny_dataset()
-        sequential = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        net, ds = self._net(), self._dataset()
+        sequential = extract_embeddings(net, ds.images, self.ROWS)
         started = threads_from_8_rows(monkeypatch)
         monkeypatch.setattr(evaluate, "blas_threads", lambda: 1)
-        table = extract_embeddings(net, ds.images, self.ROWS, batch_size=4)
+        table = extract_embeddings(net, ds.images, self.ROWS)
         assert started == []
         assert table.tobytes() == sequential.tobytes()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherekd.autodiff import Tensor
-from spherekd.errors import ConfigError, DimensionError
+from spherekd.errors import ConfigError, ContractError, DimensionError
 from spherekd.gradcheck import check_gradients
 from spherekd.losses import (
     angular_distill_loss,
@@ -12,7 +12,14 @@ from spherekd.losses import (
     composite_loss,
     l2_distill_loss,
 )
-from spherekd.nets import ArchConfig, ClassifierHead, build_reference_pair, freeze, parameters
+from spherekd.nets import (
+    ArchConfig,
+    ClassifierHead,
+    build_reference_pair,
+    freeze,
+    parameters,
+    state_arrays,
+)
 from spherekd.rng import substream
 
 from .conftest import takes_no_gradient
@@ -278,6 +285,17 @@ class TestCompositeLoss:
         total.backward()
         assert takes_no_gradient(teacher)
         assert all(p.grad is not None for p in parameters(student).values())
+
+    def test_unfrozen_teacher_raises_and_keeps_the_running_estimates(self):
+        _, student, transforms, head, x, labels = self._setup(seed=15)
+        teacher = build_reference_pair(ARCH, 15)[0]
+        before = {k: v.copy() for k, v in state_arrays(teacher, student).items()}
+        with pytest.raises(ContractError, match="not frozen"):
+            composite_loss(
+                x, labels, teacher, student, transforms, head, "l2", build_lambda_schedule(1.0, 2)
+            )
+        after = state_arrays(teacher, student)
+        assert all(np.array_equal(v, before[k]) for k, v in after.items())
 
     def test_schedule_length_mismatch(self):
         teacher, student, transforms, head, x, labels = self._setup(seed=13)
