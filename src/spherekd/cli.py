@@ -10,7 +10,10 @@ One binary, six verbs:
     grad-check     finite-difference verification of all differentiable ops
 
 Exit codes: 0 success, 1 a `compare --parallel` worker process died,
-2 config error, 3 I/O error, 4 numeric failure, 5 check failure. Every
+2 config error, 3 I/O error, 4 numeric failure, 5 check failure. `compare`
+records a failed cell and goes on; it prints one stderr line per failed
+cell and exits with the code of the first, by seed and then by row (4 for
+an exception of a type without a code). Every
 command writes its effective config (all defaults materialized) next to its
 outputs and echoes it to stdout, so a run is reproducible from its printed
 output alone.
@@ -21,21 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import atomic_open
 from .config import RunConfig, apply_overrides, dump_config, load_config
-from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .errors import EXIT_CHECK, EXIT_NUMERIC, EXIT_OK, ConfigError, describe, exit_code
 from .losses import DISTILL_KINDS
-
-EXIT_OK = 0
-EXIT_WORKER = 1
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
-EXIT_CHECK = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,9 +182,13 @@ def _cmd_compare(args) -> int:
     report = run_experiment_matrix(cfg, seeds, parallel=args.parallel)
     print(format_report(report), end="")
     print(f"report: {out / 'report.json'}")
-    if report["failures"]:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    codes = []
+    for seed in sorted(seeds):
+        for row, error in report["failures"].get(str(seed), {}).items():  # in row order
+            line = error.partition("\n")[0]  # `describe`'s line, then the traceback
+            print(f"seed {seed} {row}: {line}", file=sys.stderr)
+            codes.append(exit_code(line) or EXIT_NUMERIC)
+    return codes[0] if codes else EXIT_OK
 
 
 def _cmd_grad_check(args) -> int:
@@ -222,18 +221,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, IOError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (NumericError, DimensionError, ContractError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except BrokenExecutor as exc:  # a worker process died, e.g. killed
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return EXIT_WORKER
+    except Exception as exc:
+        line = describe(exc)
+        code = exit_code(line)
+        if code is None:  # a type without a code is a bug: keep its traceback
+            raise
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

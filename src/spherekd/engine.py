@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import traceback
+from concurrent.futures import as_completed
 from dataclasses import asdict, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .data import (
     build_verification_protocol,
     generate_dataset,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, describe
 from .evaluate import extract_embeddings, frozen_pass, rank1_identification, verification_accuracy
 from .losses import DISTILL_KINDS, build_lambda_schedule, composite_loss
 from .nets import (
@@ -51,21 +51,6 @@ from .rng import substream
 # report row of each distillation kind; the teacher's row comes first
 ROW_NAMES = {kind: "self_studied" if kind == "none" else kind for kind in DISTILL_KINDS}
 ROWS = ["teacher", *ROW_NAMES.values()]
-
-
-class MetricsLogger:
-    """Append-only JSONL stream; one self-describing record per line."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w")
-
-    def write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 # -- dataset / protocol assembly ------------------------------------------------
@@ -136,30 +121,26 @@ def _precompute_teacher(teacher: StagedNetwork, images: np.ndarray, kind: str):
     return feats_all, emb_all
 
 
+def _log(log, **record) -> None:
+    """Write one metrics record to the open log `log`: a JSON object on a line of its own."""
+    log.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def _fit(cfg: RunConfig, role: str, kind: str, teacher, modules, lambdas, images, labels, epochs,
-         logger) -> None:
+         log) -> None:
     """SGD on `modules` (network, head, transforms) over `epochs` shuffled passes.
 
-    Writes the metrics log's meta record, then one record per step and per
-    epoch. The teacher cache, the optimizer and its velocities live only in
-    here, and a step's graph, teacher outputs and gradients only in `step`,
-    so none of them outlives what reads it.
+    Writes the meta record to the open metrics log `log`, then one record
+    per step and per epoch as they end. The teacher cache, the optimizer and
+    its velocities live only in here, and a step's graph, teacher outputs
+    and gradients only in `step`, so none of them outlives what reads it.
     """
     keep_freed_memory()
     net, head, *transforms = modules
     n_samples, batch_size = len(labels), cfg.train.batch_size
     steps_per_epoch = len(_batches(np.arange(n_samples), batch_size))
-    logger.write(
-        {
-            "type": "meta",
-            "role": role,
-            "kind": kind,
-            "lambdas": list(lambdas) if kind != "none" else [],
-            "epochs": epochs,
-            "steps_per_epoch": steps_per_epoch,
-            "config": asdict(cfg),
-        }
-    )
+    _log(log, type="meta", role=role, kind=kind, lambdas=list(lambdas) if kind != "none" else [],
+         epochs=epochs, steps_per_epoch=steps_per_epoch, config=asdict(cfg))
     feats_cache, emb_cache = _precompute_teacher(teacher, images, kind)
     opt = SgdMomentum(
         parameters(*modules), _schedule_for(cfg, epochs * steps_per_epoch), cfg.train.momentum
@@ -192,8 +173,8 @@ def _fit(cfg: RunConfig, role: str, kind: str, teacher, modules, lambdas, images
             total, parts, lr = step(idx, f"epoch {epoch} batch {batch_no}")
             epoch_totals.append(total)
             step_no = epoch * steps_per_epoch + batch_no
-            logger.write({"type": "step", "step": step_no, "lr": lr, "total": total, "parts": parts})
-        logger.write({"type": "epoch", "epoch": epoch, "mean_total": float(np.mean(epoch_totals))})
+            _log(log, type="step", step=step_no, lr=lr, total=total, parts=parts)
+        _log(log, type="epoch", epoch=epoch, mean_total=float(np.mean(epoch_totals)))
 
 
 def _train(cfg: RunConfig, role: str, teacher_path, dataset):
@@ -207,6 +188,10 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     arrays are taken before the network is frozen and the classifier weight
     made a constant for the final train-set statistics, so that pass records
     no graph.
+    The metrics log streams to a temporary file (`atomic_open`) that
+    replaces `<stem>_metrics.jsonl` only once the checkpoint is saved, so a
+    run that fails anywhere leaves the previous log and checkpoint as they
+    were.
     `dataset`, if given, must be the config's own; None generates it.
     """
     cfg.validate()
@@ -218,7 +203,6 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     elif dataset.params != _data_params(cfg):
         raise ConfigError(f"dataset {dataset.params} is not the config's {_data_params(cfg)}")
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train_idx = dataset.train_indices
     images, labels = dataset.images[train_idx], dataset.labels[train_idx]
 
@@ -246,36 +230,20 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
 
     modules = [net, head, *transforms]
     epochs = cfg.train.student_epochs if student else cfg.train.teacher_epochs
-    logger = MetricsLogger(out / f"{stem}_metrics.jsonl")
-    try:
-        _fit(cfg, role, kind, teacher, modules, lambdas, images, labels, epochs, logger)
+    with atomic_open(out / f"{stem}_metrics.jsonl") as log:
+        _fit(cfg, role, kind, teacher, modules, lambdas, images, labels, epochs, log)
         tensors = state_arrays(net, head)
         freeze(net)
         head.weight = Tensor(head.weight.data)
         train_loss, train_accuracy = _train_eval_stats(net, head, images, labels)
-        logger.write(
-            {
-                "type": "final",
-                "train_loss": train_loss,
-                "train_accuracy": train_accuracy,
-                "epochs": epochs,
-            }
-        )
-    finally:
-        logger.close()
-
-    meta = {
-        "role": role,
-        "epoch": epochs,
-        "train_loss": train_loss,
-        "train_accuracy": train_accuracy,
-        "classifier": {"mode": cfg.classifier.mode, "scale": cfg.classifier.scale},
-    }
-    if student:
-        meta["kind"] = kind
-    ckpt = Checkpoint(fingerprint_arch(arch), tensors, meta)
-    path = save_checkpoint(out / f"{stem}.ckpt", ckpt)
-    return path, {"train_loss": train_loss, "train_accuracy": train_accuracy}
+        summary = {"train_loss": train_loss, "train_accuracy": train_accuracy}
+        _log(log, type="final", **summary, epochs=epochs)
+        meta = {"role": role, "epoch": epochs, **summary, "classifier": asdict(cfg.classifier)}
+        if student:
+            meta["kind"] = kind
+        log.flush()  # a full disk shows here, before the checkpoint replaces the old one
+        path = save_checkpoint(out / f"{stem}.ckpt", Checkpoint(fingerprint_arch(arch), tensors, meta))
+    return path, summary
 
 
 def train_teacher(cfg: RunConfig, dataset: SyntheticIdentityDataset | None = None):
@@ -383,8 +351,8 @@ def run_seed_cells(base: RunConfig, seed: int) -> dict:
     for row, role, cfg_k in runs:
         try:
             path, cells[row] = train_and_score(cfg_k, role, teacher_path, dataset, *protocols)
-        except Exception:
-            cells[row] = {"error": traceback.format_exc(limit=5)}
+        except Exception as exc:
+            cells[row] = {"error": f"{describe(exc)}\n{traceback.format_exc(limit=5)}"}
             if role == "teacher":
                 break  # every student needs the teacher
         if role == "teacher":
@@ -412,16 +380,19 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
     """Teacher plus self-studied / exact-match / angular students per seed.
 
     With `parallel` > 1 the seed cells run in at most one spawned process
-    per seed, each with its share of the BLAS threads.
+    per seed, each with its share of the BLAS threads. An exception that
+    escapes a seed's cells cancels the seeds the pool has not yet handed on
+    (see `process_pool`); the others finish before it reaches the caller.
     """
     check_matrix_arguments(cfg, seeds, parallel)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     workers = min(parallel, len(seeds))
     if workers > 1:
         with process_pool(workers) as pool:
-            per_seed = dict(zip(seeds, pool.map(partial(run_seed_cells, cfg), seeds)))
+            seed_of = {pool.submit(run_seed_cells, cfg, s): s for s in seeds}
+            # in the order the seeds end, so that an exception leaves the pool at once
+            per_seed = {seed_of[f]: f.result() for f in as_completed(seed_of)}
     else:
         per_seed = {s: run_seed_cells(cfg, s) for s in seeds}
 

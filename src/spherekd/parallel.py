@@ -93,19 +93,27 @@ def keep_freed_memory() -> None:
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+@contextmanager
 def process_pool(workers: int):
     """`workers` spawned processes, each holding OpenBLAS at max(1, cpus // workers) threads.
 
     A task's exception reaches the caller when its result is read; a worker
     that dies breaks the pool, whose waiting results then raise
     `BrokenProcessPool` (a RuntimeError) and whose other workers are stopped.
+    An exception that leaves the block cancels the tasks not yet handed on;
+    the pool waits for those its workers run and the workers + 1 it queues.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    return ProcessPoolExecutor(
+    with ProcessPoolExecutor(
         workers,
         mp_context=get_context("spawn"),
         initializer=set_blas_threads,
         initargs=(max(1, cpu_count() // workers),),
-    )
+    ) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

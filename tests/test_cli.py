@@ -8,6 +8,7 @@ import pytest
 
 from spherekd.checkpoint import load_checkpoint, save_checkpoint
 from spherekd.cli import main
+from spherekd.errors import ConfigError, NumericError
 
 from .conftest import TOY_OVERRIDES, threads_from_8_rows
 
@@ -415,13 +416,42 @@ class TestCompare:
         assert not list(out.glob("seed*"))
         assert not out.exists() or not list(out.rglob("*"))  # not even effective_config.yaml
 
+    @pytest.mark.parametrize(
+        "faults, code, lines",
+        [
+            (
+                {"angular": NumericError("injected"), "l2": OSError(28, "No space left on device")},
+                3,
+                ["seed 0 l2: i/o error: [Errno 28] No space left on device",
+                 "seed 0 angular: numeric failure: injected"],
+            ),
+            ({"none": ConfigError("injected")}, 2, ["seed 0 self_studied: config error: injected"]),
+            ({"l2": RuntimeError("injected")}, 4, ["seed 0 l2: RuntimeError: injected"]),
+        ],
+    )
+    def test_failed_cells_exit_with_the_code_of_the_first(
+        self, tmp_path, capsys, monkeypatch, faults, code, lines
+    ):
+        from spherekd import engine
+
+        original = engine.train_student
+
+        def failing(cfg, teacher_path, *args, **kwargs):
+            if cfg.distill.kind in faults:
+                raise faults[cfg.distill.kind]
+            return original(cfg, teacher_path, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "train_student", failing)
+        assert run_cli("compare", *toy_args(tmp_path / "x"), "--seeds", "0") == code
+        assert capsys.readouterr().err.splitlines() == lines
+
     def test_dead_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
         from spherekd import engine
 
         class DeadPool:
-            """A pool whose worker died: every result raises, as the real pool's do."""
+            """A pool whose worker died: every submit raises, as the real pool's do."""
 
             def __enter__(self):
                 return self
@@ -429,9 +459,8 @@ class TestCompare:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def submit(self, fn, *args):
                 raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-                yield
 
         monkeypatch.setattr(engine, "process_pool", lambda workers: DeadPool())
         out = tmp_path / "x"

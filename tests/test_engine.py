@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
 import resource
 import shutil
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from spherekd.nets import (
     parameters,
     state_arrays,
 )
+from spherekd.parallel import process_pool
 from spherekd.rng import substream
 
 from .conftest import make_toy_config, threads_from_8_rows
@@ -107,47 +111,68 @@ class TestTrainTeacher:
                 train_teacher(cfg)
 
 
+def five_measured_steps(out_dir: str) -> tuple[list, list, list, list, int]:
+    """Train the default architecture for 5 steps of batch 32, recording as each step starts.
+
+    Records the traced heap size, the minor page faults, how many of the
+    previous step's arrays are still alive and how many parameters still
+    hold a gradient; last, the count of arrays the last step saved.
+    `TestStepLifetime` runs it in a freshly spawned process, so it patches
+    the engine without putting it back. The same run goes once unmeasured
+    first: the heap grows to what a run needs by 2 MB steps at no fixed step
+    (about 550 faults each, often between steps 2 and 4), and the
+    measured run then starts from the grown heap.
+    """
+    # 136 samples make 5 steps of batch 32
+    cfg = apply_overrides(
+        RunConfig().validate(),
+        [
+            "data.num_train_classes=8",
+            "data.samples_per_class=17",
+            "data.num_test_classes=2",
+            "data.num_distractors=0",
+            "train.teacher_epochs=1",
+            f"output_dir={out_dir}",
+        ],
+    )
+    live_at_start, faults_at_start, left_alive, left_grads = [], [], [], []
+    last_step: list[weakref.ref] = []
+    forward = engine.composite_loss
+
+    def recording(batch, labels, teacher, net, transforms, head, *args, **kwargs):
+        live_at_start.append(tracemalloc.get_traced_memory()[0])
+        faults_at_start.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        left_alive.append(sum(ref() is not None for ref in last_step))
+        left_grads.append(sum(p.grad is not None for p in parameters(net, head).values()))
+        total, parts = forward(batch, labels, teacher, net, transforms, head, *args, **kwargs)
+        last_step.clear()
+        for node in topo_order(total):
+            if node._parents:  # an interior node: its value and what its backward saved
+                saved = [c.cell_contents for c in node._backward.__closure__ or ()]
+                arrays = [node.data, *(a for a in saved if isinstance(a, np.ndarray))]
+                last_step.extend(weakref.ref(a) for a in arrays)
+        return total, parts
+
+    train_teacher(cfg)
+    engine.composite_loss = recording
+    tracemalloc.start()
+    try:
+        train_teacher(cfg)
+    finally:
+        tracemalloc.stop()
+    return live_at_start, faults_at_start, left_alive, left_grads, len(last_step)
+
+
 class TestStepLifetime:
     """A training step's graph, arrays and gradients end with the step."""
 
-    def test_no_array_outlives_its_step(self, tmp_path, monkeypatch):
-        # the default architecture; 136 samples make 5 steps of batch 32
-        cfg = apply_overrides(
-            RunConfig().validate(),
-            [
-                "data.num_train_classes=8",
-                "data.samples_per_class=17",
-                "data.num_test_classes=2",
-                "data.num_distractors=0",
-                "train.teacher_epochs=1",
-                f"output_dir={tmp_path / 'run'}",
-            ],
-        )
-        live_at_start, faults_at_start, left_alive, left_grads = [], [], [], []
-        last_step: list[weakref.ref] = []
-        forward = engine.composite_loss
-
-        def recording(batch, labels, teacher, net, transforms, head, *args, **kwargs):
-            live_at_start.append(tracemalloc.get_traced_memory()[0])
-            faults_at_start.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-            left_alive.append(sum(ref() is not None for ref in last_step))
-            left_grads.append(sum(p.grad is not None for p in parameters(net, head).values()))
-            total, parts = forward(batch, labels, teacher, net, transforms, head, *args, **kwargs)
-            last_step.clear()
-            for node in topo_order(total):
-                if node._parents:  # an interior node: its value and what its backward saved
-                    saved = [c.cell_contents for c in node._backward.__closure__ or ()]
-                    arrays = [node.data, *(a for a in saved if isinstance(a, np.ndarray))]
-                    last_step.extend(weakref.ref(a) for a in arrays)
-            return total, parts
-
-        monkeypatch.setattr(engine, "composite_loss", recording)
-        tracemalloc.start()
-        try:
-            train_teacher(cfg)
-        finally:
-            tracemalloc.stop()
-        assert len(live_at_start) == 5 and len(last_step) > 50
+    def test_no_array_outlives_its_step(self, tmp_path):
+        # in a fresh process, so that the heap the tests before this one
+        # leave behind does not decide the page faults (see five_measured_steps)
+        with process_pool(1) as pool:
+            measured = pool.submit(five_measured_steps, str(tmp_path / "run")).result()
+        live_at_start, faults_at_start, left_alive, left_grads, last_step_arrays = measured
+        assert len(live_at_start) == 5 and last_step_arrays > 50
         assert left_alive == [0] * 5
         assert left_grads == [0] * 5
         # a held graph of the previous step would add about 47 MB
@@ -346,6 +371,17 @@ class TestExperimentMatrix:
         assert report["rows"]["angular"]["verification_accuracy"]["mean"] is not None
 
 
+def sleep_fail_or_mark(cfg, seed):
+    """Stand-in for run_seed_cells in spawned workers: seed 0 sleeps 3 s and seed 1
+    raises at once; any other seed sleeps 0.5 s and leaves a `ran<seed>` file."""
+    if seed == 1:
+        raise NumericError("seed 1 failed")
+    time.sleep(3 if seed == 0 else 0.5)
+    if seed > 1:
+        (Path(cfg.output_dir) / f"ran{seed}").touch()
+    return {}
+
+
 def fake_cells(accuracy):
     """Stand-in for run_seed_cells that trains nothing."""
 
@@ -411,18 +447,31 @@ class TestMatrixArguments:
         with pytest.raises(ConfigError):
             run_experiment_matrix(make_toy_config(tmp_path / "m"), seeds, parallel=parallel)
 
+    def test_failed_seed_cancels_the_queued_seeds(self, tmp_path, monkeypatch):
+        import spherekd.engine as engine_mod
+
+        out = tmp_path / "m"
+        out.mkdir()
+        monkeypatch.setattr(engine_mod, "run_seed_cells", sleep_fail_or_mark)
+        with pytest.raises(NumericError, match="seed 1"):
+            run_experiment_matrix(make_toy_config(out), list(range(10)), parallel=2)
+        ran = sorted(int(p.name[3:]) for p in out.glob("ran*"))
+        # what the pool handed to its queue before seed 1 failed still runs; the
+        # seeds after it never start, though seed 0 holds a worker for 3 s more
+        assert ran == list(range(2, len(ran) + 2)) and ran[-1] < 9, ran
+        assert multiprocessing.active_children() == []
+
     def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch):
-        import contextlib
-        from types import SimpleNamespace
+        from concurrent.futures import ThreadPoolExecutor
 
         import spherekd.engine as engine_mod
 
         recorded = []
 
         def recording_pool(workers):
-            """Runs each job inline; starts no process."""
+            """Runs each job on one thread; starts no process."""
             recorded.append(workers)
-            return contextlib.nullcontext(SimpleNamespace(map=map))
+            return ThreadPoolExecutor(1)
 
         monkeypatch.setattr(engine_mod, "process_pool", recording_pool)
         monkeypatch.setattr(engine_mod, "run_seed_cells", fake_cells(0.5))
