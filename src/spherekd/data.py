@@ -37,18 +37,6 @@ class SyntheticIdentityDataset:
         mask = np.isin(self.labels, classes)
         return np.nonzero(mask)[0]
 
-    def indices_by_class(self, classes: np.ndarray) -> list[np.ndarray]:
-        """Ascending sample indices of each class in `classes`, from one sort.
-
-        Entry k equals `indices_of([classes[k]])`, at a cost that does not
-        grow with the number of classes asked for.
-        """
-        order = np.argsort(self.labels, kind="stable")
-        sorted_labels = self.labels[order]
-        lo = np.searchsorted(sorted_labels, classes, side="left")
-        hi = np.searchsorted(sorted_labels, classes, side="right")
-        return [order[a:b] for a, b in zip(lo, hi)]
-
     @property
     def train_indices(self) -> np.ndarray:
         return self.indices_of(self.train_classes)
@@ -193,30 +181,31 @@ class IdentificationProtocol:
 
 def build_verification_protocol(
     dataset: SyntheticIdentityDataset,
-    pairs_per_side: int = 300,
-    folds: int = 10,
-    seed: int = 0,
+    pairs_per_side: int,
+    folds: int,
+    seed: int,
 ) -> VerificationProtocol:
     rng = substream(seed, "protocol-verification")
 
     # every within-class pair (i < j), class by class in row-major order
     positives = []
-    for idx in dataset.indices_by_class(dataset.test_classes):
+    for c in dataset.test_classes:
+        idx = dataset.indices_of([c])
         i, j = np.triu_indices(len(idx), k=1)
         positives.append(np.stack([idx[i], idx[j]], axis=1))
-    positives = np.concatenate(positives).astype(np.int64)
+    positives = np.concatenate(positives)
     if len(positives) < pairs_per_side:
         raise ConfigError(
             f"only {len(positives)} within-class pairs available, need {pairs_per_side}"
         )
-    order = rng.permutation(len(positives))[:pairs_per_side]
+    within = len(positives)
+    order = rng.permutation(within)[:pairs_per_side]
     positives = positives[order]
 
     test_idx = dataset.test_indices
     test_labels = dataset.labels[test_idx]
-    counts = np.bincount(test_labels - test_labels.min())
     total = len(test_idx)
-    max_cross = (total * (total - 1)) // 2 - sum(c * (c - 1) // 2 for c in counts)
+    max_cross = (total * (total - 1)) // 2 - within
     if max_cross < pairs_per_side:
         raise ConfigError(
             f"only {max_cross} cross-class pairs available, need {pairs_per_side}"
@@ -236,12 +225,8 @@ def build_verification_protocol(
 
     index_a = np.concatenate([positives[:, 0], negatives[:, 0]])
     index_b = np.concatenate([positives[:, 1], negatives[:, 1]])
-    same = np.concatenate(
-        [np.ones(pairs_per_side, dtype=bool), np.zeros(pairs_per_side, dtype=bool)]
-    )
-    fold = np.concatenate(
-        [np.arange(pairs_per_side) % folds, np.arange(pairs_per_side) % folds]
-    )
+    same = dataset.labels[index_a] == dataset.labels[index_b]
+    fold = np.tile(np.arange(pairs_per_side) % folds, 2)
     order = np.argsort(fold, kind="stable")
     return VerificationProtocol(
         index_a=index_a[order],
@@ -253,34 +238,22 @@ def build_verification_protocol(
 
 
 def build_identification_protocol(
-    dataset: SyntheticIdentityDataset, seed: int = 0
+    dataset: SyntheticIdentityDataset, seed: int
 ) -> IdentificationProtocol:
     rng = substream(seed, "protocol-identification")
-    gallery_idx, gallery_cls, probe_idx, probe_cls = [], [], [], []
-    test_groups = dataset.indices_by_class(dataset.test_classes)
-    for c, idx in zip(dataset.test_classes, test_groups):
-        enrolled = idx[rng.integers(0, len(idx))]
-        gallery_idx.append(enrolled)
-        gallery_cls.append(int(c))
-        for other in idx:
-            if other != enrolled:
-                probe_idx.append(other)
-                probe_cls.append(int(c))
-    # every sample of a distractor class joins the gallery, in class order
-    distractor_groups = dataset.indices_by_class(dataset.distractor_classes)
-    distractor_sizes = [len(idx) for idx in distractor_groups]
+    enrolled, probes = [], []
+    for c in dataset.test_classes:
+        idx = dataset.indices_of([c])
+        enrolled.append(idx[rng.integers(0, len(idx))])
+        probes.append(idx[idx != enrolled[-1]])
+    # labels run in contiguous class blocks, so the distractor rows come in class order
+    gallery = np.concatenate([enrolled, dataset.indices_of(dataset.distractor_classes)])
+    probe_indices = np.concatenate(probes)
     return IdentificationProtocol(
-        gallery_indices=np.concatenate(
-            [np.array(gallery_idx, dtype=np.int64)] + distractor_groups
-        ),
-        gallery_classes=np.concatenate(
-            [
-                np.array(gallery_cls, dtype=np.int64),
-                np.repeat(dataset.distractor_classes, distractor_sizes),
-            ]
-        ),
-        probe_indices=np.array(probe_idx, dtype=np.int64),
-        probe_classes=np.array(probe_cls, dtype=np.int64),
+        gallery_indices=gallery,
+        gallery_classes=dataset.labels[gallery],
+        probe_indices=probe_indices,
+        probe_classes=dataset.labels[probe_indices],
     )
 
 

@@ -222,7 +222,7 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
         cfg.classifier.scale,
         substream(cfg.seed, f"{role}-classifier-init"),
     )
-    transforms = stage_transforms(arch, cfg.seed)[:-1] if kind != "none" else []
+    transforms = stage_transforms(arch, cfg.seed) if kind != "none" else []
     lam = cfg.distill.resolved_lambda_n() if student else 0.0
     lambdas = build_lambda_schedule(lam, arch.num_stages)
     if cfg.distill.final_stage_only:

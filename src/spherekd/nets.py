@@ -348,18 +348,21 @@ def state_arrays(*modules) -> dict[str, np.ndarray]:
 
 
 def stage_transforms(arch: ArchConfig, seed: int) -> list[StudentTransform]:
-    """One transform per stage, lifting student width to teacher width."""
+    """One transform per stage 1..n-1, lifting student width to teacher width.
+
+    Stage n compares the embeddings directly and has none.
+    """
     rng = substream(seed, "transform-init")
     return [
         StudentTransform(i + 1, arch.student_channels[i], arch.teacher_channels[i], rng)
-        for i in range(arch.num_stages)
+        for i in range(arch.num_stages - 1)
     ]
 
 
 def build_reference_pair(
     arch: ArchConfig, seed: int
 ) -> tuple[StagedNetwork, StagedNetwork, list[StudentTransform]]:
-    """Teacher, student, and one channel-matching transform per stage."""
+    """Teacher, student, and the channel-matching transforms of stages 1..n-1."""
     arch.validate()
     teacher = StagedNetwork(arch, arch.teacher_channels, substream(seed, "teacher-init"))
     student = StagedNetwork(arch, arch.student_channels, substream(seed, "student-init"))

@@ -235,7 +235,7 @@ class TestIdentificationProtocol:
 
 
 class TestProtocolsMatchPerClassConstruction:
-    """Protocols built from one grouping equal the per-class `indices_of` build."""
+    """Protocols read from the labels equal the per-class `indices_of` build."""
 
     @staticmethod
     def reference_identification(ds, seed):
@@ -258,11 +258,12 @@ class TestProtocolsMatchPerClassConstruction:
             gallery_cls.extend([int(c)] * len(idx))
         return [np.array(v, dtype=np.int64) for v in (gallery_idx, gallery_cls, probe_idx, probe_cls)]
 
+    @pytest.mark.parametrize("num_distractors", [0, 37, 2000])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_verification_positives_bitwise(self, seed):
+    def test_verification_positives_bitwise(self, seed, num_distractors):
         from spherekd.rng import substream
 
-        ds = small_dataset(seed, num_distractors=37)
+        ds = small_dataset(seed, num_distractors=num_distractors)
         prot = build_verification_protocol(ds, pairs_per_side=20, folds=4, seed=seed)
         positives = []
         for c in ds.test_classes:
@@ -275,23 +276,20 @@ class TestProtocolsMatchPerClassConstruction:
         got = np.stack([prot.index_a[prot.same], prot.index_b[prot.same]], axis=1)
         assert got.dtype == np.int64
         assert np.array_equal(got, fold_major)
+        # the 20 positives then the 20 negatives, in the same fold-major order
+        order = np.argsort(np.tile(np.arange(20) % 4, 2), kind="stable")
+        assert np.array_equal(prot.same, np.repeat([True, False], 20)[order])
 
+    @pytest.mark.parametrize("num_distractors", [0, 37, 2000])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_identification_bitwise(self, seed):
-        ds = small_dataset(seed, num_distractors=37)
+    def test_identification_bitwise(self, seed, num_distractors):
+        ds = small_dataset(seed, num_distractors=num_distractors)
         prot = build_identification_protocol(ds, seed=seed)
         expected = self.reference_identification(ds, seed)
         got = [prot.gallery_indices, prot.gallery_classes, prot.probe_indices, prot.probe_classes]
         for g, e in zip(got, expected):
             assert g.dtype == np.int64
             assert np.array_equal(g, e)
-
-    def test_groups_equal_indices_of(self):
-        # the per-class groups that both protocol builders walk
-        ds = small_dataset(1, num_distractors=37)
-        classes = np.concatenate([ds.test_classes, ds.distractor_classes, ds.train_classes])
-        for c, idx in zip(classes, ds.indices_by_class(classes)):
-            assert np.array_equal(idx, ds.indices_of(np.array([c])))
 
 
 class TestOnDiskFormats:
