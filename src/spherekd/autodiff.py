@@ -489,16 +489,16 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 # -- hypersphere primitives ----------------------------------------------------
 
 
-def l2_normalize(x: Tensor, eps: float = EPS_NORM) -> Tensor:
-    """Scale rows (last axis) to unit Euclidean norm, guarding zeros with eps."""
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale rows (last axis) to unit Euclidean norm, guarding zeros with EPS_NORM."""
     x = Tensor._lift(x)
     norm = np.linalg.norm(x.data, axis=-1, keepdims=True)
-    denom = np.maximum(norm, eps)
+    denom = np.maximum(norm, EPS_NORM)
     out_data = x.data / denom
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        guarded = g / denom - np.where(norm >= eps, out_data * inner / denom, 0.0)
+        guarded = g / denom - np.where(norm >= EPS_NORM, out_data * inner / denom, 0.0)
         _accumulate(x, guarded)
 
     return x._make(out_data, (x,), backward)
@@ -514,7 +514,7 @@ def _clip_passthrough(x: Tensor, lo: float, hi: float) -> Tensor:
     return x._make(out_data, (x,), backward)
 
 
-def cosine(a: Tensor, b: Tensor, eps: float = EPS_NORM) -> Tensor:
+def cosine(a: Tensor, b: Tensor) -> Tensor:
     """Cosine of the angle between vectors (or between rows of matrices).
 
     Result is clamped into [-1, 1]; the clamp is gradient-transparent.
@@ -522,7 +522,7 @@ def cosine(a: Tensor, b: Tensor, eps: float = EPS_NORM) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
     if a.shape != b.shape:
         raise DimensionError(f"cosine operands must match, got {a.shape} and {b.shape}")
-    dot = (l2_normalize(a, eps) * l2_normalize(b, eps)).sum(axis=-1)
+    dot = (l2_normalize(a) * l2_normalize(b)).sum(axis=-1)
     return _clip_passthrough(dot, -1.0, 1.0)
 
 
@@ -561,7 +561,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- validation ----------------------------------------------------------------
 
 
-def check_finite(t: Tensor, context: str = "tensor") -> Tensor:
+def check_finite(t: Tensor, context: str) -> Tensor:
     """Raise NumericError if `t` holds NaN or infinity; otherwise return it."""
     if not np.isfinite(t.data).all():
         raise NumericError(f"non-finite values in {context}")

@@ -9,12 +9,13 @@ never the training classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import atomic_open
+from .config import DataConfig
 from .errors import ConfigError
 from .rng import substream
 
@@ -84,37 +85,27 @@ def _render(latents: np.ndarray, w1, w2, size: int) -> np.ndarray:
     return flat.reshape(-1, size, size, 1)
 
 
-def generate_dataset(
-    seed: int,
-    num_train_classes: int = 64,
-    num_test_classes: int = 16,
-    samples_per_class: int = 20,
-    latent_dim: int = 16,
-    noise_sigma: float = 0.15,
-    image_size: int = 16,
-    num_distractors: int = 500,
-    renderer_hidden: int = 64,
-) -> SyntheticIdentityDataset:
-    """Deterministic synthetic identity dataset.
+def dataset_params(seed: int, cfg: DataConfig) -> dict:
+    """What a dataset is generated from: the seed and every key of `cfg` but
+    the protocols' `pairs_per_side` and `folds`."""
+    params = {"seed": int(seed), **asdict(cfg)}
+    del params["pairs_per_side"], params["folds"]
+    return params
 
-    Class ids are assigned contiguously: train classes first (so a train label
-    doubles as the classifier index), then test classes, then one distractor
-    class per distractor sample. Each chunk's latent codes are rendered and
-    then dropped: only the images and labels grow with the sample count. The
-    arguments are not checked here: `RunConfig.validate` bounds each `data.*`
-    key.
+
+def generate_dataset(seed: int, cfg: DataConfig) -> SyntheticIdentityDataset:
+    """Deterministic synthetic identity dataset, with every value from the run's `DataConfig`.
+
+    The dataset is generated from `dataset_params(seed, cfg)`, which become
+    its `params`. Class ids are assigned contiguously: train classes first (so
+    a train label doubles as the classifier index), then test classes, then
+    one distractor class per distractor sample. Each chunk's latent codes are
+    rendered and then dropped: only the images and labels grow with the
+    sample count. The values are not checked here: `RunConfig.validate`
+    bounds each `data.*` key.
     """
-    params = {
-        "seed": int(seed),
-        "num_train_classes": num_train_classes,
-        "num_test_classes": num_test_classes,
-        "samples_per_class": samples_per_class,
-        "latent_dim": latent_dim,
-        "noise_sigma": noise_sigma,
-        "image_size": image_size,
-        "num_distractors": num_distractors,
-        "renderer_hidden": renderer_hidden,
-    }
+    num_train_classes, latent_dim = cfg.num_train_classes, cfg.latent_dim
+    renderer_hidden, image_size = cfg.renderer_hidden, cfg.image_size
 
     rng_renderer = substream(seed, "data-renderer")
     w1 = rng_renderer.normal(0.0, 1.0 / np.sqrt(latent_dim), size=(latent_dim, renderer_hidden))
@@ -122,13 +113,13 @@ def generate_dataset(
         0.0, 1.0 / np.sqrt(renderer_hidden), size=(renderer_hidden, image_size * image_size)
     )
 
-    n_classes = num_train_classes + num_test_classes + num_distractors
+    n_classes = num_train_classes + cfg.num_test_classes + cfg.num_distractors
     prototypes = substream(seed, "data-prototypes").normal(size=(n_classes, latent_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
 
     # train and test classes hold samples_per_class samples, distractors one
-    first_distractor = num_train_classes + num_test_classes
-    counts = np.where(np.arange(n_classes) < first_distractor, samples_per_class, 1)
+    first_distractor = num_train_classes + cfg.num_test_classes
+    counts = np.where(np.arange(n_classes) < first_distractor, cfg.samples_per_class, 1)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), counts)
     n = labels.shape[0]
     noise_rng = substream(seed, "data-noise")
@@ -137,7 +128,7 @@ def generate_dataset(
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
         noise = noise_rng.normal(size=(stop - start, latent_dim))
-        z = prototypes[labels[rows]] + noise_sigma * noise
+        z = prototypes[labels[rows]] + cfg.noise_sigma * noise
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         images[rows] = _render(z, w1, w2, image_size)
 
@@ -147,7 +138,7 @@ def generate_dataset(
         train_classes=np.arange(num_train_classes, dtype=np.int64),
         test_classes=np.arange(num_train_classes, first_distractor, dtype=np.int64),
         distractor_classes=np.arange(first_distractor, n_classes, dtype=np.int64),
-        params=params,
+        params=dataset_params(seed, cfg),
     )
 
 

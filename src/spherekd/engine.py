@@ -31,6 +31,7 @@ from .data import (
     SyntheticIdentityDataset,
     build_identification_protocol,
     build_verification_protocol,
+    dataset_params,
     generate_dataset,
 )
 from .errors import ConfigError, NumericError, describe
@@ -56,15 +57,8 @@ ROWS = ["teacher", *ROW_NAMES.values()]
 # -- dataset / protocol assembly ------------------------------------------------
 
 
-def _data_params(cfg: RunConfig) -> dict:
-    """The seed and the generation fields of `cfg.data`: the dataset's `params`."""
-    params = {"seed": cfg.seed, **asdict(cfg.data)}
-    del params["pairs_per_side"], params["folds"]  # protocol fields
-    return params
-
-
 def dataset_from_config(cfg: RunConfig) -> SyntheticIdentityDataset:
-    return generate_dataset(**_data_params(cfg))
+    return generate_dataset(cfg.seed, cfg.data)
 
 
 def protocols_from_config(cfg: RunConfig, dataset: SyntheticIdentityDataset):
@@ -200,8 +194,8 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     stem = f"student_{kind}" if student else "teacher"
     if dataset is None:
         dataset = dataset_from_config(cfg)
-    elif dataset.params != _data_params(cfg):
-        raise ConfigError(f"dataset {dataset.params} is not the config's {_data_params(cfg)}")
+    elif dataset.params != (params := dataset_params(cfg.seed, cfg.data)):
+        raise ConfigError(f"dataset {dataset.params} is not the config's {params}")
     out = Path(cfg.output_dir)
     train_idx = dataset.train_indices
     images, labels = dataset.images[train_idx], dataset.labels[train_idx]

@@ -20,6 +20,7 @@ from .autodiff import Tensor
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
+BASE_SEED = 1234
 
 
 def numeric_gradient(loss_fn: Callable[[], float], leaf: Tensor, step: float = FD_STEP) -> np.ndarray:
@@ -286,7 +287,7 @@ CASES: list[CheckCase] = [
 ]
 
 
-def run_suite(group: str = "all", instances: int = 5, base_seed: int = 1234) -> list[CheckResult]:
+def run_suite(group: str, instances: int) -> list[CheckResult]:
     """Run each selected case on `instances` random inputs; report worst error."""
     results = []
     for case in CASES:
@@ -294,7 +295,7 @@ def run_suite(group: str = "all", instances: int = 5, base_seed: int = 1234) -> 
             continue
         worst = 0.0
         for k in range(instances):
-            rng = np.random.default_rng(base_seed + 97 * k)
+            rng = np.random.default_rng(BASE_SEED + 97 * k)
             leaves, build = case.build(rng)
             worst = max(worst, check_gradients(build, leaves))
         results.append(CheckResult(case.name, case.group, worst, FD_TOL))

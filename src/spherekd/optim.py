@@ -15,8 +15,8 @@ class LrSchedule:
     """lr at step t is base * factor^(number of decay points <= t)."""
 
     base_lr: float
-    decay_steps: tuple[int, ...] = ()
-    factor: float = 0.1
+    decay_steps: tuple[int, ...]
+    factor: float
 
     def at(self, step: int) -> float:
         passed = sum(1 for d in self.decay_steps if d <= step)
@@ -26,7 +26,7 @@ class LrSchedule:
 class SgdMomentum:
     """v <- mu * v + g; p <- p - lr * v, per named parameter, both in place."""
 
-    def __init__(self, params: dict[str, Tensor], schedule: LrSchedule, momentum: float = 0.9):
+    def __init__(self, params: dict[str, Tensor], schedule: LrSchedule, momentum: float):
         if schedule.base_lr <= 0:
             raise ContractError("learning rate must be positive")
         self.params = dict(params)

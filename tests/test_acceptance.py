@@ -16,7 +16,7 @@ from spherekd import autodiff as ad
 from spherekd.autodiff import Tensor
 from spherekd.cli import main as cli_main
 from spherekd.checkpoint import load_checkpoint
-from spherekd.config import RunConfig, apply_overrides
+from spherekd.config import DataConfig, RunConfig, apply_overrides
 from spherekd.data import build_identification_protocol, build_verification_protocol, generate_dataset
 from spherekd.engine import run_experiment_matrix, train_teacher
 from spherekd.evaluate import rank1_identification, verification_accuracy
@@ -172,10 +172,10 @@ def _toy_overrides():
 
 
 def test_criterion_07_oracle_equivalence():
-    ds = generate_dataset(
-        3, num_train_classes=3, num_test_classes=5, samples_per_class=4,
+    ds = generate_dataset(3, DataConfig(
+        num_train_classes=3, num_test_classes=5, samples_per_class=4,
         latent_dim=6, noise_sigma=0.3, image_size=8, num_distractors=10,
-    )
+    ))
     iprot = build_identification_protocol(ds, seed=0)
     assert len(iprot.gallery_indices) <= 20
     all_ok = True

@@ -224,7 +224,7 @@ class TestDistill:
         calls = []
         original = engine_mod.generate_dataset
         monkeypatch.setattr(
-            engine_mod, "generate_dataset", lambda **kw: calls.append(kw) or original(**kw)
+            engine_mod, "generate_dataset", lambda *args: calls.append(args) or original(*args)
         )
         code = run_cli(
             "distill", *toy_args(out), "--teacher", str(out / "teacher.ckpt"), "--kind", "l2"

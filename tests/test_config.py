@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -26,6 +27,12 @@ class TestDefaults:
         assert cfg.train.learning_rate == 0.1
         assert cfg.train.momentum == 0.9
         assert cfg.distill.kind == "angular"
+
+    def test_readme_schema_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        schema = readme.split("## Configuration schema\n", 1)[1]
+        block = schema.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block) == yaml.safe_load(dump_config(RunConfig()))
 
     def test_lambda_defaults_per_kind(self):
         cfg = RunConfig()

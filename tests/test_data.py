@@ -1,12 +1,16 @@
 """Synthetic identity data: generation, protocols, and on-disk formats."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from spherekd import data
+from spherekd.config import DataConfig
 from spherekd.data import (
     build_identification_protocol,
     build_verification_protocol,
+    dataset_params,
     generate_dataset,
     save_identification_protocol,
     save_verification_protocol,
@@ -25,7 +29,7 @@ def small_dataset(seed=0, **kw):
         num_distractors=10,
     )
     defaults.update(kw)
-    return generate_dataset(seed, **defaults)
+    return generate_dataset(seed, DataConfig(**defaults))
 
 
 class TestGeneration:
@@ -49,10 +53,10 @@ class TestGeneration:
     def test_default_latent_geometry(self):
         # within-class direction agreement must beat between-class agreement,
         # here at the harshest noise level anyone would configure
-        ds = generate_dataset(
-            0, num_train_classes=64, num_test_classes=16, samples_per_class=20,
+        ds = generate_dataset(0, DataConfig(
+            num_train_classes=64, num_test_classes=16, samples_per_class=20,
             latent_dim=16, noise_sigma=0.3, image_size=16, num_distractors=500,
-        )
+        ))
         lat, labels = per_class_reference(0, noise_sigma=0.3)
         assert np.array_equal(labels, ds.labels)
         within, between = [], []
@@ -83,6 +87,23 @@ class TestGeneration:
         test = set(ds.test_classes.tolist())
         distract = set(ds.distractor_classes.tolist())
         assert not (train & test) and not (train & distract) and not (test & distract)
+
+    def test_dataset_params_name_exactly_the_keys_the_generator_reads(self):
+        cfg = DataConfig(
+            num_train_classes=3, num_test_classes=2, samples_per_class=3, latent_dim=4,
+            noise_sigma=0.3, image_size=4, num_distractors=2, renderer_hidden=5,
+            pairs_per_side=2, folds=2,
+        )
+        base = generate_dataset(0, cfg)
+        keys = dataset_params(0, cfg)
+        assert base.params == keys
+        for field in fields(DataConfig):
+            value = getattr(cfg, field.name)
+            value = value * 2 if isinstance(value, float) else value + 1
+            other = generate_dataset(0, replace(cfg, **{field.name: value}))
+            same = np.array_equal(other.images, base.images)
+            same &= np.array_equal(other.labels, base.labels)
+            assert same != (field.name in keys), field.name
 
 
 def per_class_reference(seed, num_train_classes=64, num_test_classes=16, samples_per_class=20,
@@ -136,7 +157,7 @@ class TestGeneratorMatchesPerClassLoop:
     def assert_matches_reference(kw):
         from spherekd.rng import substream
 
-        ds = generate_dataset(3, **kw)
+        ds = generate_dataset(3, DataConfig(**kw))
         latents, labels = per_class_reference(3, **kw)
         assert ds.labels.dtype == np.int64
         assert np.array_equal(ds.labels, labels)
@@ -149,8 +170,8 @@ class TestGeneratorMatchesPerClassLoop:
     @pytest.mark.parametrize("chunk", [data.RENDER_CHUNK, 1000])
     def test_fewer_distractors_give_a_prefix(self, monkeypatch, chunk):
         monkeypatch.setattr(data, "RENDER_CHUNK", chunk)
-        small = generate_dataset(0, num_distractors=500)
-        large = generate_dataset(0, num_distractors=2000)
+        small = generate_dataset(0, DataConfig(num_distractors=500))
+        large = generate_dataset(0, DataConfig(num_distractors=2000))
         n = small.num_samples
         assert small.images.tobytes() == large.images[:n].tobytes()
         assert np.array_equal(small.labels, large.labels[:n])
@@ -158,10 +179,10 @@ class TestGeneratorMatchesPerClassLoop:
 
 class TestVerificationProtocol:
     def test_pair_arithmetic(self):
-        ds = generate_dataset(
-            0, num_train_classes=4, num_test_classes=8, samples_per_class=12,
+        ds = generate_dataset(0, DataConfig(
+            num_train_classes=4, num_test_classes=8, samples_per_class=12,
             latent_dim=8, noise_sigma=0.3, image_size=8, num_distractors=0,
-        )
+        ))
         prot = build_verification_protocol(ds, pairs_per_side=300, folds=10, seed=0)
         assert prot.num_pairs == 600
         for f in range(10):

@@ -401,7 +401,7 @@ class TestDataBuiltOncePerCell:
         seeds = []
         original = engine_mod.generate_dataset
         monkeypatch.setattr(
-            engine_mod, "generate_dataset", lambda **kw: seeds.append(kw["seed"]) or original(**kw)
+            engine_mod, "generate_dataset", lambda *args: seeds.append(args[0]) or original(*args)
         )
         report = run_experiment_matrix(make_toy_config(tmp_path / "m"), [0, 1])
         assert not report["failures"]

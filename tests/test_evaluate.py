@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spherekd import evaluate, parallel
+from spherekd.config import DataConfig
 from spherekd.data import (
     IdentificationProtocol,
     build_identification_protocol,
@@ -43,7 +44,7 @@ def tiny_dataset(seed=0, **kw):
         num_distractors=10,
     )
     defaults.update(kw)
-    return generate_dataset(seed, **defaults)
+    return generate_dataset(seed, DataConfig(**defaults))
 
 
 def random_unit_embeddings(n, d, seed):

@@ -16,14 +16,14 @@ def single_param(value=1.0):
 class TestSgdStep:
     def test_vanilla_step(self):
         params, p = single_param(1.0)
-        opt = SgdMomentum(params, LrSchedule(0.1), momentum=0.0)
+        opt = SgdMomentum(params, LrSchedule(0.1, (), 0.1), momentum=0.0)
         p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_momentum_hand_recursion(self):
         params, p = single_param(1.0)
-        opt = SgdMomentum(params, LrSchedule(0.1), momentum=0.9)
+        opt = SgdMomentum(params, LrSchedule(0.1, (), 0.1), momentum=0.9)
         p.grad = np.array([1.0])
         opt.step()  # v=1, p=0.9
         assert opt.velocity["p"][0] == pytest.approx(1.0)
@@ -35,14 +35,14 @@ class TestSgdStep:
 
     def test_zero_grads_fixed_point(self):
         params, p = single_param(2.5)
-        opt = SgdMomentum(params, LrSchedule(0.1), momentum=0.9)
+        opt = SgdMomentum(params, LrSchedule(0.1, (), 0.1), momentum=0.9)
         p.grad = np.zeros(1)
         opt.step()
         assert p.data[0] == 2.5  # v starts at 0, stays 0
 
     def test_zero_grad_with_nonzero_velocity_decays(self):
         params, p = single_param(1.0)
-        opt = SgdMomentum(params, LrSchedule(0.1), momentum=0.5)
+        opt = SgdMomentum(params, LrSchedule(0.1, (), 0.1), momentum=0.5)
         p.grad = np.array([1.0])
         opt.step()  # v=1
         p.grad = np.zeros(1)
@@ -52,13 +52,13 @@ class TestSgdStep:
 
     def test_missing_grad_raises(self):
         params, p = single_param()
-        opt = SgdMomentum(params, LrSchedule(0.1))
+        opt = SgdMomentum(params, LrSchedule(0.1, (), 0.1), momentum=0.9)
         with pytest.raises(ContractError, match="p"):
             opt.step()
 
     def test_step_count_increments(self):
         params, p = single_param()
-        opt = SgdMomentum(params, LrSchedule(0.1))
+        opt = SgdMomentum(params, LrSchedule(0.1, (), 0.1), momentum=0.9)
         p.grad = np.zeros(1)
         opt.step()
         p.grad = np.zeros(1)
@@ -86,4 +86,4 @@ class TestLrSchedule:
 
     def test_invalid_lr(self):
         with pytest.raises(ContractError):
-            SgdMomentum({}, LrSchedule(0.0))
+            SgdMomentum({}, LrSchedule(0.0, (), 0.1), momentum=0.9)
