@@ -19,11 +19,13 @@ Design notes:
     its closed-form backward. A unit of a network that no longer changes is
     one op, `conv_unit`, with eval-mode batch norm folded into the conv:
     that is the only eval-mode batch norm.
-  * Each op takes the one input form its callers pass. The 3x3 conv takes
-    batched maps [batch, h, w, c] and softmax cross-entropy [batch, classes]
-    logits with an index vector; a single map or a 1-d row of logits raises
-    DimensionError. `Tensor` has the arithmetic the losses use (+, -, *,
-    scalar powers), `sum` and `mean` over axes, and `reshape(*shape)`.
+  * Ops, network layers and losses take Tensors; only the arithmetic
+    operators (+, -, *) lift an array or number operand to a constant.
+    The 3x3 conv takes batched maps [batch, h, w, c] and softmax
+    cross-entropy [batch, classes] logits with an index vector; a single
+    map or a 1-d row of logits raises DimensionError. `Tensor` has the
+    arithmetic the losses use (+, -, *, scalar powers), `sum` and `mean`
+    over axes, and `reshape(*shape)`.
 
 Only the operations defined here form the differentiable surface; network
 layers and losses are compositions of them.
@@ -236,7 +238,6 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the two axes of a matrix."""
-    x = Tensor._lift(x)
     if x.ndim != 2:
         raise DimensionError(f"transpose expects a 2-d tensor, got {x.shape}")
     out_data = x.data.T.copy()
@@ -249,7 +250,6 @@ def transpose(x: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a [m,k] and b [k,p]."""
-    a, b = Tensor._lift(a), Tensor._lift(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -273,7 +273,6 @@ def conv2d_1x1(x: Tensor, weight: Tensor) -> Tensor:
 
     Spatial dimensions pass through unchanged; works on batched or single maps.
     """
-    x, weight = Tensor._lift(x), Tensor._lift(weight)
     if weight.ndim != 2:
         raise DimensionError(f"1x1 conv weight must be [c_in, c_out], got {weight.shape}")
     if x.ndim < 2 or x.shape[-1] != weight.shape[0]:
@@ -362,7 +361,6 @@ def conv2d_3x3(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> 
         raise ConfigError(f"conv2d_3x3 supports stride 1 or 2, got {stride}")
     if padding != 1:
         raise ConfigError(f"conv2d_3x3 supports padding 1 only, got {padding}")
-    x, weight = Tensor._lift(x), Tensor._lift(weight)
     if weight.ndim != 4 or weight.shape[:2] != (3, 3):
         raise DimensionError(f"3x3 conv weight must be [3,3,c_in,c_out], got {weight.shape}")
     if x.ndim != 4 or x.shape[-1] != weight.shape[2]:
@@ -401,7 +399,6 @@ def conv_unit(
     max(y, 0) + slope * min(y, 0). `wmat`, `shift` and `slope` are constants:
     backward returns only the input gradient.
     """
-    x = Tensor._lift(x)
     if x.ndim != 4:
         raise DimensionError(f"conv unit expects input [B,h,w,c], got {x.shape}")
     batch, h, w, c_in = x.shape
@@ -437,7 +434,6 @@ def batch_norm(
     normalized it. Eval mode, which normalizes with running estimates, exists
     only folded into `conv_unit`.
     """
-    x, gamma, beta = Tensor._lift(x), Tensor._lift(gamma), Tensor._lift(beta)
     channels = x.shape[-1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise DimensionError(
@@ -472,7 +468,6 @@ def batch_norm(
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """Leaky-linear unit with learnable per-channel negative slope (last axis)."""
-    x, slope = Tensor._lift(x), Tensor._lift(slope)
     if slope.ndim != 1 or x.shape[-1] != slope.shape[0]:
         raise DimensionError(f"prelu slope {slope.shape} does not match channels of {x.shape}")
     neg = np.minimum(x.data, 0.0)
@@ -491,7 +486,6 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale rows (last axis) to unit Euclidean norm, guarding zeros with EPS_NORM."""
-    x = Tensor._lift(x)
     norm = np.linalg.norm(x.data, axis=-1, keepdims=True)
     denom = np.maximum(norm, EPS_NORM)
     out_data = x.data / denom
@@ -519,7 +513,6 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
 
     Result is clamped into [-1, 1]; the clamp is gradient-transparent.
     """
-    a, b = Tensor._lift(a), Tensor._lift(b)
     if a.shape != b.shape:
         raise DimensionError(f"cosine operands must match, got {a.shape} and {b.shape}")
     dot = (l2_normalize(a) * l2_normalize(b)).sum(axis=-1)
@@ -535,7 +528,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     `logits` is a [batch, classes] matrix and `labels` an index vector of
     length batch; the result is the vector of the batch's losses.
     """
-    logits = Tensor._lift(logits)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be [batch, classes], got {logits.shape}")
     idx = np.asarray(labels, dtype=np.int64)

@@ -38,7 +38,6 @@ def angular_distill_loss(teacher_emb: Tensor, student_emb: Tensor) -> Tensor:
     The teacher side is treated as a constant: no gradient flows into it.
     Invariant to positive rescaling of either argument.
     """
-    teacher_emb, student_emb = Tensor._lift(teacher_emb), Tensor._lift(student_emb)
     if teacher_emb.shape != student_emb.shape:
         raise DimensionError(
             f"embedding shapes differ: {teacher_emb.shape} vs {student_emb.shape}"
@@ -54,7 +53,6 @@ def l2_distill_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     exact-match baseline: unlike the angular loss it constrains magnitude as
     well as direction. Teacher side is constant.
     """
-    teacher_feat, student_feat = Tensor._lift(teacher_feat), Tensor._lift(student_feat)
     if teacher_feat.shape != student_feat.shape or student_feat.ndim < 2:
         raise DimensionError(
             f"expected batched features of one shape, got {teacher_feat.shape} vs "
@@ -66,7 +64,7 @@ def l2_distill_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
 
 
 def composite_loss(
-    batch,
+    batch: Tensor,
     labels,
     teacher: StagedNetwork | None,
     student: StagedNetwork,
@@ -101,7 +99,6 @@ def composite_loss(
             raise ContractError("composite_loss: the teacher is not frozen (see nets.freeze)")
         if len(lambdas) != n:
             raise ConfigError(f"{len(lambdas)} distillation weights for {n} stages")
-    batch = Tensor._lift(batch)
     feats_s, emb_s = student.forward(batch)
     cls = ad.softmax_cross_entropy(head.logits(emb_s), labels).mean()
     parts = {"cls": cls.item()}

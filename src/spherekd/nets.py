@@ -161,7 +161,7 @@ class StagedNetwork:
         """True once `freeze` has put each unit's fold in its place."""
         return isinstance(self.stages[0][0], FoldedUnit)
 
-    def forward(self, batch: Tensor) -> tuple[list[Tensor], Tensor]:
+    def forward(self, x: Tensor) -> tuple[list[Tensor], Tensor]:
         """All stage features F_1..F_n plus the embedding of the last one, through `stages`.
 
         Before `freeze` this is train mode: every batch norm updates its
@@ -169,7 +169,6 @@ class StagedNetwork:
         forward is its eval-mode pass and changes no state. Only the input
         is checked: each later stage reads the output of the one before it.
         """
-        x = Tensor._lift(batch)
         c_in = self.arch.in_channels
         if x.ndim != 4 or x.shape[-1] != c_in:
             raise DimensionError(f"stage 1: expected input [B,h,w,{c_in}], got {x.shape}")
@@ -196,7 +195,6 @@ class StagedNetwork:
             raise ContractError("tail: the network is not frozen (see nets.freeze)")
         if not 1 <= stage <= self.num_stages:
             raise DimensionError(f"stage {stage} outside 1..{self.num_stages}")
-        feature = Tensor._lift(feature)
         expected_c = self.channels[stage - 1]
         side = self.arch.stage_sizes()[stage - 1]
         if feature.ndim != 4 or feature.shape[1:] != (side, side, expected_c):
@@ -257,7 +255,6 @@ class StudentTransform:
         self.beta = Tensor(np.zeros(c_teacher), requires_grad=True)
 
     def forward(self, feature: Tensor) -> Tensor:
-        feature = Tensor._lift(feature)
         if feature.shape[-1] != self.c_student:
             raise DimensionError(
                 f"stage {self.stage}: transform expects {self.c_student} channels, "
@@ -294,7 +291,6 @@ class ClassifierHead:
         self.weight = Tensor(rng.normal(0.0, 1.0, size=(num_classes, dim)), requires_grad=True)
 
     def logits(self, embedding: Tensor) -> Tensor:
-        embedding = Tensor._lift(embedding)
         if embedding.ndim != 2 or embedding.shape[1] != self.weight.shape[1]:
             raise DimensionError(
                 f"embedding {embedding.shape} does not match classifier dim "

@@ -243,6 +243,10 @@ class TestBackward:
         (a * b).sum().backward()
         assert a.grad is not None
         assert b.grad is None
+        c = Tensor(np.full(3, 2.0))
+        constant = (b * c).sum()
+        constant.backward()  # nothing requires a gradient, so nothing is walked
+        assert constant.grad is None and b.grad is None and c.grad is None
 
     def test_diamond_graph_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

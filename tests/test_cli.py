@@ -201,7 +201,8 @@ class TestDistill:
             "--kind", "angular",
         )
         assert code == 0
-        records = [json.loads(l) for l in open(out / "student_angular_metrics.jsonl")]
+        log = (out / "student_angular_metrics.jsonl").read_text()
+        records = [json.loads(l) for l in log.splitlines()]
         meta = records[0]
         steps = [r for r in records if r["type"] == "step"]
         assert len(steps) == meta["epochs"] * meta["steps_per_epoch"]

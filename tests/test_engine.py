@@ -50,7 +50,7 @@ from .test_nets import randomized
 
 
 def read_records(path):
-    return [json.loads(line) for line in open(path)]
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 def tree_digests(root):
