@@ -446,6 +446,56 @@ class TestCompare:
         assert run_cli("compare", *toy_args(tmp_path / "x"), "--seeds", "0") == code
         assert capsys.readouterr().err.splitlines() == lines
 
+    def test_report_layout_of_failed_cells(self, tmp_path, capsys, monkeypatch):
+        from spherekd import engine
+
+        # verification accuracy (rank-1 is half of it) of each scored cell, by seed
+        scored = {
+            0: {"teacher": 0.75, "self_studied": 0.5, "l2": 0.625, "angular": 0.6875},
+            1: {"teacher": 0.875, "self_studied": 0.5625, "angular": 0.8125},
+            2: {},
+        }
+        errors = {
+            1: {"l2": "i/o error: [Errno 28] No space left on device\nTraceback: l2"},
+            2: {"teacher": "config error: injected\nTraceback: teacher"},
+        }
+
+        def cells(cfg, seed):
+            ok = {row: {"verification_accuracy": v, "rank1": v / 2} for row, v in scored[seed].items()}
+            failed = {row: {"error": text} for row, text in errors.get(seed, {}).items()}
+            return {**ok, **failed}
+
+        monkeypatch.setattr(engine, "run_seed_cells", cells)
+        out = tmp_path / "x"
+        assert run_cli("compare", *toy_args(out), "--seeds", "0,1,2") == 3
+        assert (out / "summary.txt").read_text() == (
+            "model           verif.acc      rank1   per-seed verif\n"
+            "-----------------------------------------------------\n"
+            "teacher            0.8125     0.4062   0.7500 0.8750 fail\n"
+            "self_studied       0.5312     0.2656   0.5000 0.5625 fail\n"
+            "l2                 0.6250     0.3125   0.6250 fail fail\n"
+            "angular            0.7500     0.3750   0.6875 0.8125 fail\n"
+            "\n"
+            "failures: ['1', '2']\n"
+        )
+        report = json.loads((out / "report.json").read_text())
+        assert report["seeds"] == [0, 1, 2]
+        assert report["failures"] == {
+            "1": {"l2": errors[1]["l2"]}, "2": {"teacher": errors[2]["teacher"]}
+        }
+        assert list(report["rows"]) == ["angular", "l2", "self_studied", "teacher"]  # sort_keys
+        for row, metrics in report["rows"].items():
+            for metric, scale in (("verification_accuracy", 1.0), ("rank1", 0.5)):
+                per_seed = {str(s): v[row] * scale for s, v in scored.items() if row in v}
+                assert metrics[metric] == {
+                    "per_seed": per_seed, "mean": sum(per_seed.values()) / len(per_seed)
+                }
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "seed 1 l2: i/o error: [Errno 28] No space left on device",
+            "seed 2 teacher: config error: injected",
+        ]
+
     def test_dead_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
