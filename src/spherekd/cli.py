@@ -136,16 +136,18 @@ def _cmd_train_teacher(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    from .engine import dataset_from_config, protocols_from_config, train_and_score
+    from .engine import (
+        dataset_from_config, evaluate_network, load_network, protocols_from_config, train_student
+    )
 
     cfg = _effective_config(args)
     if args.kind is not None:
         cfg = apply_overrides(cfg, [f"distill.kind={args.kind}"])
     out = _announce(cfg)
     dataset = dataset_from_config(cfg)
-    path, metrics = train_and_score(
-        cfg, "student", args.teacher, dataset, *protocols_from_config(cfg, dataset)
-    )
+    protocols = protocols_from_config(cfg, dataset)
+    path, _ = train_student(cfg, args.teacher, dataset=dataset)
+    metrics = evaluate_network(load_network(cfg, path), dataset, *protocols)
     print(f"student checkpoint: {path}")
     print(
         f"verification accuracy {metrics['verification_accuracy']:.4f} "

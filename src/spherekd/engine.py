@@ -49,9 +49,10 @@ from .optim import LrSchedule, SgdMomentum
 from .parallel import keep_freed_memory, process_pool
 from .rng import substream
 
-# report row of each distillation kind; the teacher's row comes first
-ROW_NAMES = {kind: "self_studied" if kind == "none" else kind for kind in DISTILL_KINDS}
-ROWS = ["teacher", *ROW_NAMES.values()]
+# the rows of `compare`'s report in order, each with the distill kind it trains;
+# None is the teacher, which the seed's students read
+ROWS = {"teacher": None, **{"self_studied" if k == "none" else k: k for k in DISTILL_KINDS}}
+METRICS = ("verification_accuracy", "rank1")
 
 
 # -- dataset / protocol assembly ------------------------------------------------
@@ -315,42 +316,27 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str | Path) -> dict:
     return evaluate_network(net, dataset, vprot, iprot)
 
 
-def train_and_score(cfg: RunConfig, role: str, teacher_path, dataset, vprot, iprot):
-    """Train one network on `dataset`, then score its checkpoint on the protocols.
-
-    Returns the checkpoint path and the metrics.
-    """
-    if role == "teacher":
-        path, _ = train_teacher(cfg, dataset=dataset)
-    else:
-        path, _ = train_student(cfg, teacher_path, dataset=dataset)
-    net = load_network(cfg, path)
-    return path, evaluate_network(net, dataset, vprot, iprot)
-
-
 # -- experiment matrix -------------------------------------------------------------
 
 
 def run_seed_cells(base: RunConfig, seed: int) -> dict:
-    """Train teacher + the three student variants for one seed; evaluate all."""
+    """Train and score the network of each of the seed's `ROWS`, the teacher first."""
     cfg = replace(base, seed=seed, output_dir=str(Path(base.output_dir) / f"seed{seed}"))
     dataset = dataset_from_config(cfg)
     protocols = protocols_from_config(cfg, dataset)
-    runs = [("teacher", "teacher", cfg)] + [
-        (row, "student", replace(cfg, distill=replace(cfg.distill, kind=kind)))
-        for kind, row in ROW_NAMES.items()
-    ]
     cells: dict[str, dict] = {}
-    teacher_path = None
-    for row, role, cfg_k in runs:
+    for row, kind in ROWS.items():
         try:
-            path, cells[row] = train_and_score(cfg_k, role, teacher_path, dataset, *protocols)
+            if kind is None:
+                path = teacher_path = train_teacher(cfg, dataset=dataset)[0]
+            else:
+                student = replace(cfg, distill=replace(cfg.distill, kind=kind))
+                path = train_student(student, teacher_path, dataset=dataset)[0]
+            cells[row] = evaluate_network(load_network(cfg, path), dataset, *protocols)
         except Exception as exc:
             cells[row] = {"error": f"{describe(exc)}\n{traceback.format_exc(limit=5)}"}
-            if role == "teacher":
+            if kind is None:
                 break  # every student needs the teacher
-        if role == "teacher":
-            teacher_path = path
     return cells
 
 
@@ -371,7 +357,7 @@ def check_matrix_arguments(cfg: RunConfig, seeds: list[int], parallel: int) -> N
 
 
 def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -> dict:
-    """Teacher plus self-studied / exact-match / angular students per seed.
+    """Train and score the networks of `ROWS` for each seed; write and return their report.
 
     With `parallel` > 1 the seed cells run in at most one spawned process
     per seed, each with its share of the BLAS threads. An exception that
@@ -390,22 +376,20 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
     else:
         per_seed = {s: run_seed_cells(cfg, s) for s in seeds}
 
-    metrics = ["verification_accuracy", "rank1"]
     report: dict = {"seeds": list(seeds), "rows": {}, "failures": {}}
     for row in ROWS:
-        report["rows"][row] = {}
-        for metric in metrics:
-            values = {}
-            for s in seeds:
-                cell = per_seed[s].get(row, {})
-                if "error" in cell:
-                    report["failures"].setdefault(str(s), {})[row] = cell["error"]
-                elif cell:
+        per_metric = {metric: {} for metric in METRICS}
+        for s in seeds:
+            cell = per_seed[s].get(row, {})
+            if "error" in cell:
+                report["failures"].setdefault(str(s), {})[row] = cell["error"]
+            elif cell:
+                for metric, values in per_metric.items():
                     values[str(s)] = cell[metric]
-            report["rows"][row][metric] = {
-                "per_seed": values,
-                "mean": float(np.mean(list(values.values()))) if values else None,
-            }
+        report["rows"][row] = {
+            metric: {"per_seed": v, "mean": float(np.mean(list(v.values()))) if v else None}
+            for metric, v in per_metric.items()
+        }
 
     with atomic_open(out / "report.json") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -415,20 +399,16 @@ def run_experiment_matrix(cfg: RunConfig, seeds: list[int], parallel: int = 1) -
 
 
 def format_report(report: dict) -> str:
-    lines = []
-    seeds = report["seeds"]
+    def fmt(value):
+        return "fail" if value is None else f"{value:.4f}"
+
     header = f"{'model':14s} {'verif.acc':>10s} {'rank1':>10s}   per-seed verif"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in ROWS:
-        cells = report["rows"][row]
-        va = cells["verification_accuracy"]["mean"]
-        r1 = cells["rank1"]["mean"]
+    lines = [header, "-" * len(header)]
+    for row, cells in report["rows"].items():
+        va, r1 = (fmt(cells[metric]["mean"]) for metric in METRICS)
         per = cells["verification_accuracy"]["per_seed"]
-        per_txt = " ".join(f"{per[str(s)]:.4f}" if str(s) in per else "fail" for s in seeds)
-        va_txt = f"{va:.4f}" if va is not None else "fail"
-        r1_txt = f"{r1:.4f}" if r1 is not None else "fail"
-        lines.append(f"{row:14s} {va_txt:>10s} {r1_txt:>10s}   {per_txt}")
+        per_txt = " ".join(fmt(per.get(str(s))) for s in report["seeds"])
+        lines.append(f"{row:14s} {va:>10s} {r1:>10s}   {per_txt}")
     if report["failures"]:
         lines.append("")
         lines.append(f"failures: {sorted(report['failures'])}")
