@@ -553,6 +553,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- validation ----------------------------------------------------------------
 
 
+def quiet_float_errors() -> np.errstate:
+    """Numpy's error state, in the calling thread, for work that a finite check follows.
+
+    Overflow, division by zero and invalid operations give inf or NaN without a warning.
+    """
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
 def check_finite(t: Tensor, context: str) -> Tensor:
     """Raise NumericError if `t` holds NaN or infinity; otherwise return it."""
     if not np.isfinite(t.data).all():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, softmax_cross_entropy
+from .autodiff import Tensor, check_finite, quiet_float_errors, softmax_cross_entropy
 from .checkpoint import (
     Checkpoint,
     atomic_open,
@@ -186,7 +186,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
     The metrics log streams to a temporary file (`atomic_open`) that
     replaces `<stem>_metrics.jsonl` only once the checkpoint is saved, so a
     run that fails anywhere leaves the previous log and checkpoint as they
-    were.
+    were. Floating-point errors pass without a warning, and a NumericError
+    reports them: a teacher that folds to non-finite values, a non-finite
+    loss at a step, or non-finite train-set statistics at the end.
     `dataset`, if given, must be the config's own; None generates it.
     """
     cfg.validate()
@@ -206,6 +208,9 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
         if teacher_path is None:
             raise ConfigError(f"distill kind {kind!r} requires --teacher")
         teacher = load_network(cfg, teacher_path, role="teacher")  # frozen
+        folded = [a for stage in teacher.stages for u in stage for a in (u.wmat, u.shift, u.slope)]
+        if not all(np.isfinite(a).all() for a in [*folded, teacher.head_weight.data]):
+            raise NumericError(f"{teacher_path}: the teacher's network folds to non-finite values")
 
     arch = cfg.arch
     channels = arch.student_channels if student else arch.teacher_channels
@@ -225,12 +230,16 @@ def _train(cfg: RunConfig, role: str, teacher_path, dataset):
 
     modules = [net, head, *transforms]
     epochs = cfg.train.student_epochs if student else cfg.train.teacher_epochs
-    with atomic_open(out / f"{stem}_metrics.jsonl") as log:
+    with quiet_float_errors(), atomic_open(out / f"{stem}_metrics.jsonl") as log:
         _fit(cfg, role, kind, teacher, modules, lambdas, images, labels, epochs, log)
         tensors = state_arrays(net, head)
         freeze(net)
         head.weight = Tensor(head.weight.data)
         train_loss, train_accuracy = _train_eval_stats(net, head, images, labels)
+        if not np.isfinite([train_loss, train_accuracy]).all():
+            raise NumericError(
+                f"{role} run: non-finite train-set loss {train_loss} or accuracy {train_accuracy}"
+            )
         summary = {"train_loss": train_loss, "train_accuracy": train_accuracy}
         _log(log, type="final", **summary, epochs=epochs)
         meta = {"role": role, "epoch": epochs, **summary, "classifier": asdict(cfg.classifier)}

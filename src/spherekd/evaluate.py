@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, quiet_float_errors
 from .data import IdentificationProtocol, VerificationProtocol, chunk_bounds
 from .errors import ContractError, DimensionError, NumericError
 from .nets import StagedNetwork
@@ -53,17 +53,19 @@ def frozen_pass(
     runs in a small block and a row's outputs do not depend on how the rows
     were split into parts. A network that is not frozen (see `nets.freeze`)
     raises ContractError: its forward would run in train mode and update its
-    running estimates.
+    running estimates. Inf and NaN come out without a warning, for the
+    caller to check.
     """
     if not net.frozen:
         raise ContractError("frozen_pass: the network is not frozen (see nets.freeze)")
     bounds = chunk_bounds(len(order), BATCH_ROWS, BATCH_ROWS // 2)
-    for start, stop in zip(bounds, bounds[1:]):
-        feats, emb = net.forward(Tensor(images[order[start:stop]]))
-        embeddings[start:stop] = emb.data
-        for dst, f in zip(features, feats):
-            dst[start:stop] = f.data
-        del feats, emb  # so the next batch's forward runs without this one's activations
+    with quiet_float_errors():  # set here, in each thread that embeds
+        for start, stop in zip(bounds, bounds[1:]):
+            feats, emb = net.forward(Tensor(images[order[start:stop]]))
+            embeddings[start:stop] = emb.data
+            for dst, f in zip(features, feats):
+                dst[start:stop] = f.data
+            del feats, emb  # so the next batch's forward runs without this one's activations
 
 
 def extract_embeddings(

@@ -324,15 +324,17 @@ def freeze(net: StagedNetwork) -> None:
     a constant. A frozen network then holds folded live-tap matrices,
     shifts, slopes and its head, no value that could take a gradient, and
     every pass of it (`forward`, `tail`) runs those units. A frozen network
-    is left as it is.
+    is left as it is. A bad value (a negative running variance, say) folds
+    to inf or NaN without a warning, for the network's users to check.
     """
     if net.frozen:
         return
     sides = [net.arch.input_size, *net.arch.stage_sizes()]
-    net.stages = [
-        [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
-        for i, stage in enumerate(net.stages)
-    ]
+    with ad.quiet_float_errors():
+        net.stages = [
+            [FoldedUnit(unit, sides[i + (k > 0)]) for k, unit in enumerate(stage)]
+            for i, stage in enumerate(net.stages)
+        ]
     net.head_weight = Tensor(net.head_weight.data)
 
 

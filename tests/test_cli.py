@@ -302,6 +302,54 @@ class TestCheckpointTensors:
         assert "net.block2.bn1.running_var" in err
         assert "Traceback" not in err
 
+    BAD_VALUES = {
+        "negative_variance": lambda tensors: np.put(tensors["net.block1.bn1.running_var"], 0, -1),
+        # the scale of a run that diverged: every learned value near 1e298
+        "diverged": lambda tensors: tensors.update(
+            {k: v * 1e298 for k, v in tensors.items() if "running" not in k}
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", ["evaluate", "distill"])
+    @pytest.mark.parametrize("fault", sorted(BAD_VALUES))
+    def test_bad_value_exits_4_with_one_line(self, tmp_path, capsys, toy_teacher, verb, fault):
+        ckpt = load_checkpoint(toy_teacher)
+        self.BAD_VALUES[fault](ckpt.tensors)
+        bad = save_checkpoint(tmp_path / "bad.ckpt", ckpt)
+        flag = "--checkpoint" if verb == "evaluate" else "--teacher"
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli(verb, *toy_args(out), flag, str(bad)) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        if verb == "evaluate":
+            assert line.startswith("numeric failure: non-finite embeddings")
+        else:  # the teacher's fault, not the student's
+            assert line == (
+                f"numeric failure: {bad}: the teacher's network folds to non-finite values"
+            )
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.yaml"]
+
+
+class TestNumericFailure:
+    """A run that ends in non-finite values exits 4 with one stderr line and leaves no outputs."""
+
+    def test_diverging_run_prints_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train-teacher", *toy_args(out, ["train.learning_rate=1.0e+300"])) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric failure: teacher run: non-finite loss at epoch 0 batch")
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.yaml"]
+
+    def test_divergence_in_the_last_step_saves_nothing(self, tmp_path, capsys):
+        # one step of 48 samples, whose loss is taken before its update
+        extra = ["train.batch_size=48", "train.teacher_epochs=1", "train.learning_rate=1.0e+300"]
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("train-teacher", *toy_args(out, extra)) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric failure: teacher run: non-finite train-set loss nan")
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.yaml"]
+
 
 def _with_meta(path, meta: bytes) -> bytes:
     """The checkpoint file at `path` with its meta, the last record, replaced."""
